@@ -3,13 +3,15 @@
 Subcommands: classify, decompose, ramify, genus, symbol, table, scan.
 Exit codes: 0 on success, 1 on usage errors (bad arguments or radicands),
 2 on data or invariant failures (broken fixture files, table mismatches,
-CAS errors).
+CAS errors).  A reader that closes the output early (``| head``) ends the
+command quietly with exit code 1.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import shlex
 import sys
 
@@ -207,7 +209,16 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return _HANDLERS[args.command](args)
+        code = _HANDLERS[args.command](args)
+        # flush here so that a closed pipe surfaces below, not at exit
+        sys.stdout.flush()
+        return code
+    except BrokenPipeError:
+        # Python flushes stdout again at exit; point it at devnull so that
+        # this second flush cannot fail as well
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        return USAGE_ERROR
     except (FixtureError, CasError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return DATA_ERROR

@@ -158,15 +158,7 @@ class EisensteinInt:
     def is_prime(self) -> bool:
         """True for primes of Z[w]: norm a rational prime, or a unit multiple
         of an inert rational prime q = 2 (mod 3)."""
-        n = self.norm()
-        if n <= 1:
-            return False
-        if _is_rational_prime(n):
-            return True
-        q = isqrt(n)
-        if q * q == n and q % 3 == 2 and _is_rational_prime(q):
-            return any((u * self).b == 0 for u in UNITS)
-        return False
+        return _residue_field(self) is not None
 
     def congruent_to(self, other: _Operand, modulus: _Operand) -> bool:
         o = self._coerce(other)
@@ -307,7 +299,8 @@ def factor_rational_prime(p: int) -> PrimeSplitting:
         raise ValueError(f"{p} is not a rational prime")
     if p == 3:
         # sanity of the stored identity 3 = -w^2 * lam^2
-        assert -OMEGA_SQUARED * LAMBDA * LAMBDA == EisensteinInt(3)
+        if -OMEGA_SQUARED * LAMBDA * LAMBDA != EisensteinInt(3):
+            raise ArithmeticError("the identity 3 = -w^2 * lam^2 fails")
         return PrimeSplitting(3, SplitKind.RAMIFIED, (LAMBDA,))
     if p % 3 == 2:
         return PrimeSplitting(p, SplitKind.INERT, (EisensteinInt(p),))
@@ -331,44 +324,110 @@ def _split_prime(p: int) -> EisensteinInt:
     pi = primary_associate(pi)
     if pi.b < 0:
         pi = pi.conjugate()
-    assert pi.norm() == p
+    if pi.norm() != p:
+        raise ArithmeticError(f"the prime {pi} found above {p} has norm {pi.norm()}")
     return pi
 
 
-def _pow_mod(base: EisensteinInt, exponent: int, modulus: EisensteinInt) -> EisensteinInt:
-    result = ONE
-    base = base % modulus
-    n = exponent
+def _omega_residue(pi: EisensteinInt, p: int) -> int:
+    """The image m of w in Z[w]/(pi) = F_p, for pi = s + t*w of prime norm p.
+
+    p cannot divide t (it would then divide s and p^2 the norm), and
+    s + t*m = 0 forces m = -s/t mod p.
+    """
+    return -pi.a * pow(pi.b, -1, p) % p
+
+
+def _residue_field(pi: EisensteinInt) -> tuple[int, int | None] | None:
+    """Z[w]/(pi) for a prime pi, or None when pi is not prime.
+
+    (p, m) when N(pi) = p is a rational prime: the residue field is F_p with
+    w mapped to m.  (q, None) when pi is a unit times an inert rational
+    prime q: the residue field is F_q[w] = F_{q^2}, elements reduced
+    componentwise mod q.
+    """
+    n = pi.norm()
+    if n < 2:
+        return None
+    if _is_rational_prime(n):
+        return n, _omega_residue(pi, n)
+    q = isqrt(n)
+    if (
+        q * q == n
+        and q % 3 == 2
+        and pi.a % q == 0
+        and pi.b % q == 0
+        and _is_rational_prime(q)
+    ):
+        return q, None
+    return None
+
+
+def _is_zero_mod(alpha: EisensteinInt, p: int, m: int | None) -> bool:
+    """alpha = 0 in the residue field (p, m) from _residue_field."""
+    if m is None:
+        return alpha.a % p == 0 and alpha.b % p == 0
+    return (alpha.a + alpha.b * m) % p == 0
+
+
+def _split_character(x: int, p: int, m: int) -> CubicCharacterValue:
+    """The cubic character of a unit x of F_p = Z[w]/(pi), where w maps to m:
+    x^((p - 1)/3) is 1, m or m^2."""
+    e = pow(x, (p - 1) // 3, p)
+    roots = {
+        1: CubicCharacterValue.ONE,
+        m: CubicCharacterValue.OMEGA,
+        m * m % p: CubicCharacterValue.OMEGA_SQUARED,
+    }
+    value = roots.get(e)
+    if value is None:
+        raise ArithmeticError(f"{x}^(({p} - 1)/3) mod {p} is not a cube root of unity")
+    return value
+
+
+def _inert_character(alpha: EisensteinInt, q: int) -> CubicCharacterValue:
+    """The cubic character of a unit alpha of F_q[w] = Z[w]/(q), q inert:
+    alpha^((q^2 - 1)/3) is 1, w or w^2 = -1 - w, computed on pairs mod q."""
+    a, b = alpha.a % q, alpha.b % q
+    ra, rb = 1, 0
+    n = (q * q - 1) // 3
     while n:
+        # (x + yw)(u + vw) = xu - yv + (xv + yu - yv)w, as in Z[w]
         if n & 1:
-            result = (result * base) % modulus
-        base = (base * base) % modulus
+            ra, rb = (ra * a - rb * b) % q, (ra * b + rb * a - rb * b) % q
+        a, b = (a * a - b * b) % q, (2 * a * b - b * b) % q
         n >>= 1
-    return result
+    roots = {
+        (1, 0): CubicCharacterValue.ONE,
+        (0, 1): CubicCharacterValue.OMEGA,
+        (q - 1, q - 1): CubicCharacterValue.OMEGA_SQUARED,
+    }
+    value = roots.get((ra, rb))
+    if value is None:
+        raise ArithmeticError(f"({alpha})^(({q}^2 - 1)/3) mod {q} is not a cube root of unity")
+    return value
 
 
 def cubic_character(alpha: EisensteinInt, pi: EisensteinInt) -> CubicCharacterValue:
     """chi_pi(alpha): the cube root of unity congruent to
     alpha^((N(pi) - 1)/3) mod pi, or 0 when pi divides alpha.
 
-    pi must be a prime of Z[w] with norm different from 3.
+    pi must be a prime of Z[w] with norm different from 3.  The power is
+    taken in the residue field Z[w]/(pi): in F_p, with w mapped to
+    m = -s/t mod p, when pi = s + t*w has prime norm p; in F_q[w], on pairs
+    reduced mod q, when pi is a unit times an inert q.
     """
-    if not pi.is_prime():
+    field = _residue_field(pi)
+    if field is None:
         raise ValueError(f"{pi} is not a prime of Z[w]")
-    n = pi.norm()
-    if n == 3:
+    p, m = field
+    if p == 3:
         raise ValueError("the character is not defined at the prime above 3")
-    if pi.divides(alpha):
+    if _is_zero_mod(alpha, p, m):
         return CubicCharacterValue.ZERO
-    r = _pow_mod(alpha, (n - 1) // 3, pi)
-    for value in (
-        CubicCharacterValue.ONE,
-        CubicCharacterValue.OMEGA,
-        CubicCharacterValue.OMEGA_SQUARED,
-    ):
-        if pi.divides(r - value.as_element()):
-            return value
-    raise ArithmeticError(f"chi_{pi}({alpha}) did not land on a cube root of unity")
+    if m is None:
+        return _inert_character(alpha, p)
+    return _split_character(alpha.a + alpha.b * m, p, m)
 
 
 def rational_cubic_symbol(a: int, p: int) -> CubicCharacterValue:
@@ -383,17 +442,8 @@ def rational_cubic_symbol(a: int, p: int) -> CubicCharacterValue:
         raise ValueError(f"need a rational prime p = 1 (mod 3), got {p}")
     if a % p == 0:
         raise ValueError(f"{p} divides {a}; the symbol is 0 there")
-    e = pow(a % p, (p - 1) // 3, p)
-    if e == 1:
-        return CubicCharacterValue.ONE
     pi = factor_rational_prime(p).factors[0]
-    # w maps to m in Z[w]/(pi) = F_p, where pi = s + t*w forces m = -s/t.
-    m = (-pi.a) * pow(pi.b, -1, p) % p
-    if e == m:
-        return CubicCharacterValue.OMEGA
-    if e == m * m % p:
-        return CubicCharacterValue.OMEGA_SQUARED
-    raise ArithmeticError(f"({a}/{p})_3 landed outside the cube roots of unity")
+    return _split_character(a, p, _omega_residue(pi, p))
 
 
 @dataclass(frozen=True)
@@ -415,8 +465,9 @@ def factor(z: EisensteinInt) -> EisensteinFactorization:
     """Factor z != 0 into a unit and prime powers.
 
     Strategy: factor N(z) over Z by trial division, lift each rational prime
-    through factor_rational_prime and divide out.  Deterministic, with the
-    factors ordered by the underlying rational prime.
+    through factor_rational_prime and divide out, testing divisibility in
+    the residue field of each prime.  Deterministic, with the factors
+    ordered by the underlying rational prime.
     """
     if z.is_zero:
         raise ValueError("cannot factor 0")
@@ -424,17 +475,20 @@ def factor(z: EisensteinInt) -> EisensteinFactorization:
     out: list[tuple[EisensteinInt, int]] = []
     for p, norm_exp in sorted(factorize(z.norm()).items()):
         splitting = factor_rational_prime(p)
+        inert = splitting.kind is SplitKind.INERT
         total = 0
         for prime in splitting.factors:
+            m = None if inert else _omega_residue(prime, p)
             e = 0
-            while prime.divides(remaining):
+            while _is_zero_mod(remaining, p, m):
                 remaining = remaining // prime
                 e += 1
             if e:
                 out.append((prime, e))
             total += e
         # norm bookkeeping: split/ramified primes have norm p, inert norm p^2
-        weight = 2 if splitting.kind is SplitKind.INERT else 1
-        assert total * weight == norm_exp, f"norm exponent mismatch at {p}"
-    assert remaining.is_unit, f"non-unit cofactor {remaining} left over"
+        if total * (2 if inert else 1) != norm_exp:
+            raise ArithmeticError(f"norm exponent mismatch at {p} while factoring {z}")
+    if not remaining.is_unit:
+        raise ArithmeticError(f"non-unit cofactor {remaining} left over factoring {z}")
     return EisensteinFactorization(unit=remaining, factors=tuple(out))

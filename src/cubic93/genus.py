@@ -13,7 +13,8 @@ with L = 1 (mod 3), the three periods are the roots of
 a classical consequence of the cubic Gauss sum evaluation.  The exact
 coefficients are cross-checked against high-precision numeric periods
 before being returned, so a wrong branch in the (L, M) search cannot slip
-through silently.
+through silently.  mpmath, which computes the periods, is imported on the
+first such check, so importing the package does not load it.
 """
 
 from __future__ import annotations
@@ -22,8 +23,7 @@ from dataclasses import dataclass
 from enum import Enum
 from functools import lru_cache
 from math import isqrt
-
-import mpmath
+from typing import TYPE_CHECKING
 
 from ._intmath import is_prime
 from .radicand import gerth_decompose
@@ -34,6 +34,9 @@ NUMERIC_TOLERANCE = 1e-6
 _VERIFY_DPS = 40
 
 Cubic = tuple[int, int, int, int]
+
+if TYPE_CHECKING:
+    import mpmath
 
 
 def genus_number(d: int) -> tuple[int, int]:
@@ -61,6 +64,8 @@ def _gauss_sum_parameters(p: int) -> tuple[int, int]:
 
 def _numeric_periods(p: int) -> list[mpmath.mpf]:
     """The three degree-3 Gaussian periods of Q(zeta_p), high precision."""
+    import mpmath
+
     cubes = sorted({pow(x, 3, p) for x in range(1, p)})
     cube_set = set(cubes)
     n = 2
@@ -92,6 +97,8 @@ def period_polynomial(p: int) -> Cubic:
 
 
 def _verify_periods(p: int, coeffs: Cubic) -> None:
+    import mpmath
+
     with mpmath.workdps(_VERIFY_DPS):
         for eta in _numeric_periods(p):
             residual = abs(((eta + coeffs[1]) * eta + coeffs[2]) * eta + coeffs[3])

@@ -109,7 +109,8 @@ def _ramify_from_form(form: GerthForm) -> RamificationReport:
             "every non-lam ramified prime of k0 is 1 mod lam^3, so zeta_3 is"
             " a norm from k and q* = 1"
         )
-        assert rank >= 0
+        if rank < 0:
+            raise ArithmeticError(f"negative ambiguous rank t - 1 = {rank} for d = {form.d}")
     else:
         rank = None
         notes.append(

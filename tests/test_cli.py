@@ -3,11 +3,23 @@
 from __future__ import annotations
 
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
+import cubic93
 from cubic93.cli import main
+
+
+def subprocess_env() -> dict[str, str]:
+    """The environment with this checkout's package first on the path."""
+    src = str(Path(cubic93.__file__).resolve().parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    return env
 
 
 def run(capsys, *argv: str) -> tuple[int, str, str]:
@@ -148,3 +160,22 @@ def test_scan_bad_bound_is_usage_error(capsys):
     code, _, err = run(capsys, "scan", "--max", "1")
     assert code == 1
     assert "error" in err
+
+
+def test_scan_into_a_closed_pipe_exits_quietly():
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "cubic93.cli", "scan", "--max", "3000"],
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+        env=subprocess_env(),
+    )
+    proc.stdout.close()  # the reader is gone before the first write
+    err = proc.stderr.read().decode()
+    proc.stderr.close()
+    assert proc.wait(timeout=120) == 1
+    assert "Traceback" not in err and "BrokenPipeError" not in err, err
+
+
+def test_import_does_not_load_mpmath():
+    code = "import cubic93, sys; assert 'mpmath' not in sys.modules"
+    subprocess.run([sys.executable, "-c", code], env=subprocess_env(), check=True, timeout=120)

@@ -3,7 +3,9 @@
 Brute-force oracles live at the top and deliberately avoid the library's
 own code paths: the split search enumerates norm equations directly, the
 residue oracle cubes every residue, and the associate oracle tries all six
-units.
+units.  The character and factorization oracles are the library's earlier
+slow paths, which work in Z[w] itself by Euclidean division; the library
+now computes both in the residue field Z[w]/(pi).
 """
 
 from __future__ import annotations
@@ -15,6 +17,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from cubic93 import eisenstein
+from cubic93._intmath import factorize
 from cubic93.eisenstein import (
     LAMBDA,
     OMEGA,
@@ -24,6 +28,8 @@ from cubic93.eisenstein import (
     ZERO,
     CubicCharacterValue,
     EisensteinInt,
+    EisensteinFactorization,
+    PrimeSplitting,
     SplitKind,
     cubic_character,
     factor,
@@ -60,6 +66,72 @@ def oracle_primes(limit: int) -> list[int]:
 
 def is_associate(x: EisensteinInt, y: EisensteinInt) -> bool:
     return any(u * x == y for u in UNITS)
+
+
+def oracle_pow_mod(base: EisensteinInt, exponent: int, modulus: EisensteinInt) -> EisensteinInt:
+    result = ONE
+    base = base % modulus
+    n = exponent
+    while n:
+        if n & 1:
+            result = (result * base) % modulus
+        base = (base * base) % modulus
+        n >>= 1
+    return result
+
+
+def oracle_cubic_character(alpha: EisensteinInt, pi: EisensteinInt) -> CubicCharacterValue:
+    """alpha^((N(pi) - 1)/3) by square-and-multiply in Z[w], reduced mod pi
+    by Euclidean division at every step."""
+    if pi.divides(alpha):
+        return CubicCharacterValue.ZERO
+    r = oracle_pow_mod(alpha, (pi.norm() - 1) // 3, pi)
+    for value in (
+        CubicCharacterValue.ONE,
+        CubicCharacterValue.OMEGA,
+        CubicCharacterValue.OMEGA_SQUARED,
+    ):
+        if pi.divides(r - value.as_element()):
+            return value
+    raise AssertionError(f"chi_{pi}({alpha}) did not land on a cube root of unity")
+
+
+def oracle_factor(z: EisensteinInt) -> EisensteinFactorization:
+    """Divide out each prime above each p | N(z) with divides and //."""
+    remaining = z
+    out = []
+    for p in sorted(factorize(z.norm())):
+        for prime in factor_rational_prime(p).factors:
+            e = 0
+            while prime.divides(remaining):
+                remaining = remaining // prime
+                e += 1
+            if e:
+                out.append((prime, e))
+    assert remaining.is_unit
+    return EisensteinFactorization(unit=remaining, factors=tuple(out))
+
+
+def oracle_is_prime(n: int) -> bool:
+    return n >= 2 and all(n % f for f in range(2, isqrt(n) + 1))
+
+
+def oracle_split_primes(lo: int, hi: int) -> list[EisensteinInt]:
+    """Both primes above each split p in [lo, hi), from the norm search."""
+    out = []
+    for p in range(lo, hi):
+        if p % 3 == 1 and oracle_is_prime(p):
+            a, b = oracle_split(p)
+            out += [EisensteinInt(a, b), EisensteinInt(a, b).conjugate()]
+    return out
+
+
+# small and benchmark-sized split primes, and inert q up to norm ~1e6
+PRIME_MODULI = (
+    oracle_split_primes(5, 400)
+    + oracle_split_primes(999_000, 1_000_000)
+    + [EisensteinInt(q) for q in (2, 5, 11, 17, 23, 47, 389, 983)]
+)
 
 
 # ---------------------------------------------------------------- ring ops
@@ -272,6 +344,31 @@ def test_character_well_defined_modulo_pi():
         assert cubic_character(alpha + pi * gamma, pi) is base
 
 
+@settings(max_examples=300)
+@given(
+    st.sampled_from(PRIME_MODULI),
+    st.sampled_from(UNITS),
+    st.integers(-10**6, 10**6),
+    st.integers(-10**6, 10**6),
+    st.booleans(),
+)
+def test_character_matches_zw_power_oracle(prime, unit, a, b, multiple):
+    pi = unit * prime  # unit multiples of split primes and of inert q
+    alpha = EisensteinInt(a, b)
+    if multiple:
+        alpha = alpha * pi
+    assert cubic_character(alpha, pi) is oracle_cubic_character(alpha, pi)
+
+
+def test_character_matches_zw_power_oracle_at_every_residue():
+    # (pi, n) with every residue class mod pi among a + b*w, 0 <= a, b < n
+    for pi, n in ((EisensteinInt(5), 5), (-OMEGA * EisensteinInt(11), 11), (EisensteinInt(2, 3), 7)):
+        for a in range(n):
+            for b in range(n):
+                alpha = EisensteinInt(a, b)
+                assert cubic_character(alpha, pi) is oracle_cubic_character(alpha, pi)
+
+
 def test_character_rejects_bad_moduli():
     with pytest.raises(ValueError):
         cubic_character(ONE, LAMBDA)  # norm 3
@@ -409,6 +506,34 @@ def test_factor_round_trip_random():
                 assert prime.a % 3 == 2 and prime.b % 3 == 0  # primary
             else:
                 assert prime == LAMBDA
+
+
+@settings(max_examples=300)
+@given(st.integers(-10**4, 10**4), st.integers(-10**4, 10**4))
+def test_factor_matches_divides_oracle(a, b):
+    z = EisensteinInt(a, b)
+    if z.is_zero:
+        return
+    assert factor(z) == oracle_factor(z)
+
+
+def test_factor_matches_divides_oracle_on_prime_powers():
+    for base in (LAMBDA, EisensteinInt(2), EisensteinInt(2, 3), EisensteinInt(-1, -3)):
+        for k in range(1, 6):
+            for unit in UNITS:
+                z = unit * base**k * EisensteinInt(5, 1)
+                assert factor(z) == oracle_factor(z)
+
+
+def test_factor_rejects_a_wrong_splitting(monkeypatch):
+    real = eisenstein.factor_rational_prime
+    pi = real(7).factors[0]
+    wrong = PrimeSplitting(7, SplitKind.SPLIT, (pi, pi))  # conj(pi) never divided out
+    monkeypatch.setattr(
+        eisenstein, "factor_rational_prime", lambda p: wrong if p == 7 else real(p)
+    )
+    with pytest.raises(ArithmeticError, match="norm exponent mismatch"):
+        factor(EisensteinInt(21))
 
 
 def test_gcd_divides_both():
