@@ -65,25 +65,7 @@ from .genus import (
     period_polynomial,
     split_prime_bound,
 )
-from .radicand import (
-    GerthForm,
-    Mod9Residue,
-    NormalizedRadicand,
-    cube_free_sieve,
-    gerth_decompose,
-    normalize,
-    residue_mod9,
-)
-from .ramification import (
-    K0Prime,
-    K0PrimeKind,
-    QStar,
-    RamificationReport,
-    count_t,
-    gamma_ramified,
-    q_star,
-    ramify,
-    sigma_rank,
-)
+from .radicand import GerthForm, cube_free_sieve, gerth_decompose, normalize
+from .ramification import K0Prime, K0PrimeKind, QStar, RamificationReport, ramify
 
 __version__ = "0.1.0"

@@ -100,6 +100,17 @@ def factorize(n: int) -> dict[int, int]:
     return out
 
 
+def three_part(n: int) -> int:
+    """The largest power of 3 dividing n >= 1."""
+    if n < 1:
+        raise ValueError(f"cannot take the 3-part of {n}; need a positive integer")
+    g = 1
+    while n % 3 == 0:
+        g *= 3
+        n //= 3
+    return g
+
+
 def primes_up_to(n: int) -> list[int]:
     """All primes <= n by a bytearray sieve."""
     if n < 2:

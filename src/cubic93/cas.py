@@ -15,10 +15,12 @@ concurrently.
 
 from __future__ import annotations
 
+import math
 import re
 import subprocess
 from dataclasses import dataclass
 
+from ._intmath import three_part
 from .classifier import ClassGroupShape
 
 _CUBIC_TAG = "CUBIC"
@@ -60,19 +62,9 @@ def _script(d: int) -> str:
 
 
 def _three_part(invariants: list[int]) -> tuple[int, ClassGroupShape]:
-    parts = []
-    for n in invariants:
-        g = 1
-        while n % 3 == 0:
-            g *= 3
-            n //= 3
-        if g > 1:
-            parts.append(g)
-    parts.sort(reverse=True)
-    h3 = 1
-    for g in parts:
-        h3 *= g
-    return h3, ClassGroupShape(tuple(parts))
+    """The 3-class number and 3-group shape of positive cyclic invariants."""
+    parts = sorted((g for g in map(three_part, invariants) if g > 1), reverse=True)
+    return math.prod(parts), ClassGroupShape(tuple(parts))
 
 
 def _parse_invariants(output: str, tag: str) -> list[int]:
@@ -101,8 +93,11 @@ def cas_query(d: int, config: CasConfig) -> CasResult:
         raise CasError(
             f"CAS exited with {proc.returncode} for d = {d}: {proc.stderr.strip()}"
         )
-    h_gamma3, c_gamma = _three_part(_parse_invariants(proc.stdout, _CUBIC_TAG))
-    h_k3, c_k = _three_part(_parse_invariants(proc.stdout, _SEXTIC_TAG))
+    try:
+        h_gamma3, c_gamma = _three_part(_parse_invariants(proc.stdout, _CUBIC_TAG))
+        h_k3, c_k = _three_part(_parse_invariants(proc.stdout, _SEXTIC_TAG))
+    except ValueError as exc:
+        raise CasError(f"bad class group invariant for d = {d}: {exc}") from exc
     num = 3 * h_k3
     den = h_gamma3 * h_gamma3
     if num % den != 0 or num // den not in (1, 3):

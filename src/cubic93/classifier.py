@@ -21,6 +21,7 @@ import math
 from dataclasses import dataclass, replace
 from enum import Enum
 
+from ._intmath import three_part
 from .eisenstein import CubicCharacterValue, rational_cubic_symbol
 from .radicand import GerthForm, cube_free_sieve, gerth_decompose, normalize
 from .ramification import QStar, _ramify_from_form
@@ -36,10 +37,7 @@ class ClassGroupShape:
         for n in self.orders:
             if n < 2:
                 raise ValueError(f"cyclic order {n} is not a group order >= 2")
-            m = n
-            while m % 3 == 0:
-                m //= 3
-            if m != 1:
+            if three_part(n) != n:
                 raise ValueError(f"cyclic order {n} is not a power of 3")
         if tuple(sorted(self.orders, reverse=True)) != self.orders:
             raise ValueError(f"orders {self.orders} must be non-increasing")
@@ -300,9 +298,12 @@ def necessary_form(d: int) -> Verdict:
     fixed order: no split prime; several split primes; then the five-form
     case analysis for exactly one split prime.
     """
-    g = gerth_decompose(d)
+    return _necessary_form(gerth_decompose(d))
+
+
+def _necessary_form(g: GerthForm) -> Verdict:
+    d = g.d
     ram = _ramify_from_form(g)
-    canonical = normalize(d).canonical
     trace = [
         f"d = {d} = {_form_string(g)}",
         f"counts: v = {g.v}, w = {g.w}, I = {g.I}, J = {g.J}, e = {g.e};"
@@ -318,7 +319,7 @@ def necessary_form(d: int) -> Verdict:
     ) -> Verdict:
         return Verdict(
             input_d=d,
-            d=canonical,
+            d=g.canonical,
             form=form,
             status=status,
             reasons=reasons,
@@ -494,10 +495,7 @@ def necessary_form(d: int) -> Verdict:
 def _validate_h3(h_gamma3: int) -> None:
     if h_gamma3 < 1:
         raise ValueError(f"h_gamma3 must be positive, got {h_gamma3}")
-    m = h_gamma3
-    while m % 3 == 0:
-        m //= 3
-    if m != 1:
+    if three_part(h_gamma3) != h_gamma3:
         raise ValueError(f"h_gamma3 must be a power of 3, got {h_gamma3}")
 
 
@@ -513,15 +511,15 @@ def classify(d: int, h_gamma3: int | None = None, u: int | None = None) -> Verdi
     if u is not None and u not in (1, 3):
         raise ValueError(f"unit index must be 1 or 3, got {u}")
 
-    nr = normalize(d)
-    v = necessary_form(nr.d)
-    extra: list[str] = []
-    if nr.cube_part_stripped:
-        extra.append(f"stripped a cube factor: {d} defines the same field as {nr.d}")
-    if nr.d != d:
-        v = replace(v, input_d=d)
-    if extra:
-        v = replace(v, trace=tuple(extra) + v.trace)
+    form = normalize(d)
+    v = _necessary_form(form)
+    if form.d != d:
+        v = replace(
+            v,
+            input_d=d,
+            trace=(f"stripped a cube factor: {d} defines the same field as {form.d}",)
+            + v.trace,
+        )
 
     h_k3 = hk_from_hgamma(h_gamma3, u) if (h_gamma3 is not None and u is not None) else None
 

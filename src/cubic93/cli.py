@@ -20,8 +20,8 @@ from .classifier import Verdict, VerdictStatus, classify, scan
 from .eisenstein import rational_cubic_symbol
 from .fixtures import FixtureError, reproduce_table
 from .genus import format_cubic, genus_field_description
-from .radicand import gerth_decompose, normalize
-from .ramification import QStar, ramify
+from .radicand import GerthForm, normalize
+from .ramification import ramify
 
 USAGE_ERROR = 1
 DATA_ERROR = 2
@@ -106,13 +106,18 @@ def _cmd_classify(args: argparse.Namespace) -> int:
     return 0
 
 
+def _normalize_noting(n: int) -> GerthForm:
+    """normalize(n), with a note on stdout when a cube factor was stripped."""
+    g = normalize(n)
+    if g.d != n:
+        print(f"note: stripped cube factor, working with d = {g.d}")
+    return g
+
+
 def _cmd_decompose(args: argparse.Namespace) -> int:
-    nr = normalize(args.d)
-    if nr.cube_part_stripped:
-        print(f"note: stripped cube factor, working with d = {nr.d}")
-    g = gerth_decompose(nr.d)
-    print(f"d = {nr.d} = {nr.a} * {nr.b}^2   (conjugate radicand {nr.conjugate_d},"
-          f" canonical {nr.canonical})")
+    g = _normalize_noting(args.d)
+    print(f"d = {g.d} = {g.a} * {g.b}^2   (conjugate radicand {g.conjugate_d},"
+          f" canonical {g.canonical})")
     print(f"e (power of 3): {g.e}")
     print(f"primes = 1 (mod 9):      {list(g.class1mod9)}")
     print(f"primes = 4, 7 (mod 9):   {list(g.class47mod9)}")
@@ -123,29 +128,22 @@ def _cmd_decompose(args: argparse.Namespace) -> int:
 
 
 def _cmd_ramify(args: argparse.Namespace) -> int:
-    nr = normalize(args.d)
-    if nr.cube_part_stripped:
-        print(f"note: stripped cube factor, working with d = {nr.d}")
-    rep = ramify(nr.d)
+    rep = ramify(_normalize_noting(args.d).d)
     print(f"d = {rep.d}")
     print(f"ramified in the cubic field: {sorted(rep.gamma_ramified)}"
           f"   (3 ramified: {rep.three_ramified})")
     print("ramified primes of k0 in k/k0:")
     for entry in rep.k0_ramified:
         print(f"  - {entry.kind.value:6s} above {entry.p}: {entry.element}")
-    qs = {QStar.ONE: "1", QStar.ZERO: "0", QStar.UNKNOWN: "unknown"}[rep.q_star]
     rank = rep.sigma_rank if rep.sigma_rank is not None else "unknown"
-    print(f"t = {rep.t}, q* = {qs}, ambiguous 3-rank = {rank}")
+    print(f"t = {rep.t}, q* = {rep.q_star.value}, ambiguous 3-rank = {rank}")
     for note in rep.notes:
         print(f"note: {note}")
     return 0
 
 
 def _cmd_genus(args: argparse.Namespace) -> int:
-    nr = normalize(args.d)
-    if nr.cube_part_stripped:
-        print(f"note: stripped cube factor, working with d = {nr.d}")
-    rep = genus_field_description(nr.d, h_gamma3_exactly9=False)
+    rep = genus_field_description(_normalize_noting(args.d).d, h_gamma3_exactly9=False)
     print(f"d = {rep.d}: r = {rep.r}, genus number 3^{rep.r} = {rep.genus_number}")
     for p, coeffs in rep.m_fields:
         print(f"M({p}): {format_cubic(coeffs)}")

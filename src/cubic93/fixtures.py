@@ -34,8 +34,6 @@ class FixtureError(ValueError):
 @dataclass(frozen=True)
 class FixtureRow:
     p: int
-    p_squared: int
-    p_mod9: int
     h_gamma3: int
     h_k3: int
     u: int
@@ -60,6 +58,8 @@ def _parse_row(record: dict, where: str) -> FixtureRow:
         u = int(record["u"])
         c_gamma = ClassGroupShape(tuple(int(x) for x in record["c_gamma"]))
         c_k = ClassGroupShape(tuple(int(x) for x in record["c_k"]))
+        p_squared = int(record.get("p_squared", p * p))
+        p_mod9 = int(record.get("p_mod9", p % 9))
     except (TypeError, ValueError) as exc:
         raise FixtureError(f"{where}: {exc}") from exc
     if not is_prime(p):
@@ -75,14 +75,12 @@ def _parse_row(record: dict, where: str) -> FixtureRow:
             f"{where}: h_k3 = {h_k3} violates h_k3 = (u/3)*h_gamma3^2"
             f" = {expected_hk}"
         )
-    if "p_squared" in record and int(record["p_squared"]) != p * p:
+    if p_squared != p * p:
         raise FixtureError(f"{where}: p_squared != p^2")
-    if "p_mod9" in record and int(record["p_mod9"]) != p % 9:
+    if p_mod9 != p % 9:
         raise FixtureError(f"{where}: p_mod9 != p mod 9")
     return FixtureRow(
         p=p,
-        p_squared=p * p,
-        p_mod9=p % 9,
         h_gamma3=h_gamma3,
         h_k3=h_k3,
         u=u,

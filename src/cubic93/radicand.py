@@ -13,68 +13,17 @@ The mod-9 decomposition sorts the prime divisors of d into four classes
 
 that drive the ramification and rank analysis downstream.  This follows the
 shape introduced by Gerth for 3-class groups of pure cubic fields.
+
+`normalize` is the one place that factors a radicand: it strips cube
+factors and returns the `GerthForm` of what is left, from which a, b, the
+conjugate radicand and the canonical key are all read off.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from enum import Enum
 
 from ._intmath import factorize
-
-
-class Mod9Residue(Enum):
-    PLUS_MINUS_ONE = "plus_minus_one"
-    OTHER = "other"
-
-
-def residue_mod9(d: int) -> Mod9Residue:
-    """PLUS_MINUS_ONE exactly when d = 1 or 8 (mod 9)."""
-    if d % 9 in (1, 8):
-        return Mod9Residue.PLUS_MINUS_ONE
-    return Mod9Residue.OTHER
-
-
-@dataclass(frozen=True)
-class NormalizedRadicand:
-    """Cube-free d = a*b^2 with a, b coprime square-free; conjugate a^2*b."""
-
-    d: int
-    a: int
-    b: int
-    conjugate_d: int
-    cube_part_stripped: bool
-
-    @property
-    def canonical(self) -> int:
-        """min(a*b^2, a^2*b): one key per pure cubic field."""
-        return min(self.d, self.conjugate_d)
-
-
-def normalize(n: int) -> NormalizedRadicand:
-    """Strip cube factors from n >= 2 and split the rest as a*b^2.
-
-    A perfect cube is rejected (the cube root is rational and there is no
-    cubic field).  cube_part_stripped records whether anything was removed.
-    """
-    if n <= 1:
-        raise ValueError(f"radicand must be an integer >= 2, got {n}")
-    a = b = 1
-    stripped = False
-    for p, e in sorted(factorize(n).items()):
-        if e >= 3:
-            stripped = True
-        r = e % 3
-        if r == 1:
-            a *= p
-        elif r == 2:
-            b *= p
-    d = a * b * b
-    if d == 1:
-        raise ValueError(f"{n} is a perfect cube; its cube root is rational")
-    return NormalizedRadicand(
-        d=d, a=a, b=b, conjugate_d=a * a * b, cube_part_stripped=stripped
-    )
 
 
 @dataclass(frozen=True)
@@ -120,6 +69,31 @@ class GerthForm:
         """All (q, exponent) with q = 2 (mod 3)."""
         return self.class8mod9 + self.class25mod9
 
+    @property
+    def b(self) -> int:
+        """The product of the primes that divide d exactly twice."""
+        out = 3 if self.e == 2 else 1
+        for p, e in self.split_primes + self.inert_primes:
+            if e == 2:
+                out *= p
+        return out
+
+    @property
+    def a(self) -> int:
+        """The product of the primes that divide d exactly once: d = a*b^2."""
+        b = self.b
+        return self.d // (b * b)
+
+    @property
+    def conjugate_d(self) -> int:
+        """a^2*b, the other radicand of the same field."""
+        return self.a**2 * self.b
+
+    @property
+    def canonical(self) -> int:
+        """min(a*b^2, a^2*b): one key per pure cubic field."""
+        return min(self.d, self.conjugate_d)
+
     def recomposed(self) -> int:
         out = 3**self.e
         for p, e in self.split_primes + self.inert_primes:
@@ -127,19 +101,26 @@ class GerthForm:
         return out
 
 
-def gerth_decompose(d: int) -> GerthForm:
-    """Decompose a cube-free d >= 2 into the mod-9 residue classes."""
-    if d < 2:
-        raise ValueError(f"radicand must be >= 2, got {d}")
-    fac = factorize(d)
-    if any(e > 2 for e in fac.values()):
-        raise ValueError(f"{d} is not cube-free")
-    e3 = fac.pop(3, 0)
+def normalize(n: int) -> GerthForm:
+    """Strip cube factors from n >= 2 and decompose the rest mod 9.
+
+    A perfect cube is rejected (the cube root is rational and there is no
+    cubic field).  Something was stripped exactly when the result's d != n.
+    """
+    if n <= 1:
+        raise ValueError(f"radicand must be an integer >= 2, got {n}")
+    fac = factorize(n)
+    e3 = fac.pop(3, 0) % 3
+    d = 3**e3
     c1: list[tuple[int, int]] = []
     c47: list[tuple[int, int]] = []
     c8: list[tuple[int, int]] = []
     c25: list[tuple[int, int]] = []
     for p, e in sorted(fac.items()):
+        e %= 3
+        if e == 0:
+            continue
+        d *= p**e
         r = p % 9
         if r == 1:
             c1.append((p, e))
@@ -149,6 +130,8 @@ def gerth_decompose(d: int) -> GerthForm:
             c8.append((p, e))
         else:  # r in (2, 5); r = 0, 3, 6 impossible for a prime != 3
             c25.append((p, e))
+    if d == 1:
+        raise ValueError(f"{n} is a perfect cube; its cube root is rational")
     return GerthForm(
         d=d,
         e=e3,
@@ -157,6 +140,19 @@ def gerth_decompose(d: int) -> GerthForm:
         class8mod9=tuple(c8),
         class25mod9=tuple(c25),
     )
+
+
+def gerth_decompose(d: int) -> GerthForm:
+    """Decompose a cube-free d >= 2 into the mod-9 residue classes."""
+    if d < 2:
+        raise ValueError(f"radicand must be >= 2, got {d}")
+    try:
+        form = normalize(d)
+    except ValueError:  # d is a perfect cube
+        form = None
+    if form is None or form.d != d:
+        raise ValueError(f"{d} is not cube-free")
+    return form
 
 
 def cube_free_sieve(limit: int) -> bytearray:

@@ -24,11 +24,10 @@ from dataclasses import dataclass
 from enum import Enum
 
 from .eisenstein import LAMBDA, EisensteinInt, SplitKind, factor_rational_prime
-from .radicand import GerthForm, Mod9Residue, gerth_decompose, residue_mod9
+from .radicand import GerthForm, gerth_decompose
 
 
 class QStar(Enum):
-    ZERO = 0
     ONE = 1
     UNKNOWN = "unknown"
 
@@ -60,27 +59,17 @@ class RamificationReport:
     notes: tuple[str, ...]
 
 
-def gamma_ramified(d: int) -> tuple[frozenset[int], bool]:
-    """Rational primes ramified in Q(cbrt(d)), and whether 3 is among them."""
-    form = gerth_decompose(d)
-    return _gamma_ramified_from_form(form)
-
-
-def _gamma_ramified_from_form(form: GerthForm) -> tuple[frozenset[int], bool]:
-    primes = {p for p, _ in form.split_primes + form.inert_primes}
-    three = form.e > 0 or residue_mod9(form.d) is Mod9Residue.OTHER
-    if three:
-        primes.add(3)
-    return frozenset(primes), three
-
-
 def ramify(d: int) -> RamificationReport:
     """Full ramification report for a cube-free d >= 2."""
     return _ramify_from_form(gerth_decompose(d))
 
 
 def _ramify_from_form(form: GerthForm) -> RamificationReport:
-    primes, three = _gamma_ramified_from_form(form)
+    # 3 ramifies in Q(cbrt(d)) when 3 | d or d != +-1 (mod 9)
+    three = form.e > 0 or form.d % 9 not in (1, 8)
+    primes = {p for p, _ in form.split_primes + form.inert_primes}
+    if three:
+        primes.add(3)
     entries: list[K0Prime] = []
     for p in sorted(primes):
         splitting = factor_rational_prime(p)
@@ -119,7 +108,7 @@ def _ramify_from_form(form: GerthForm) -> RamificationReport:
         )
     return RamificationReport(
         d=form.d,
-        gamma_ramified=primes,
+        gamma_ramified=frozenset(primes),
         three_ramified=three,
         k0_ramified=tuple(entries),
         t=t,
@@ -127,18 +116,3 @@ def _ramify_from_form(form: GerthForm) -> RamificationReport:
         sigma_rank=rank,
         notes=tuple(notes),
     )
-
-
-def count_t(d: int) -> int:
-    """Number of primes of k0 ramified in k/k0."""
-    return ramify(d).t
-
-
-def q_star(d: int) -> QStar:
-    """Whether zeta_3 is a norm from k; ONE or UNKNOWN (never guessed ZERO)."""
-    return ramify(d).q_star
-
-
-def sigma_rank(d: int) -> int | None:
-    """rank of the ambiguous 3-class group, t - 2 + q*; None when q* unknown."""
-    return ramify(d).sigma_rank

@@ -29,7 +29,7 @@ from cubic93.eisenstein import (
 )
 from cubic93.fixtures import load_bundled_fixtures
 from cubic93.genus import period_polynomial
-from cubic93.ramification import count_t, sigma_rank
+from cubic93.ramification import ramify
 
 
 @contextmanager
@@ -128,11 +128,11 @@ def test_criterion_5_cubic_reciprocity():
 
 def test_criterion_6_ramification_counts():
     with criterion(6, "t and ambiguous ranks for d = 199, 597, 42"):
-        assert count_t(199) == 2
-        assert count_t(597) == 3
-        assert count_t(42) == 4
-        assert sigma_rank(199) == 1
-        assert sigma_rank(597) == 2
+        assert ramify(199).t == 2
+        assert ramify(597).t == 3
+        assert ramify(42).t == 4
+        assert ramify(199).sigma_rank == 1
+        assert ramify(597).sigma_rank == 2
 
 
 def test_criterion_7_genus_invariants():

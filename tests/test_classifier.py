@@ -18,7 +18,7 @@ from cubic93.classifier import (
     type93_equivalence,
 )
 from cubic93.eisenstein import CubicCharacterValue, rational_cubic_symbol
-from cubic93.ramification import sigma_rank
+from cubic93.ramification import ramify
 
 LIMIT = 10_000
 
@@ -239,7 +239,7 @@ def test_reason_consistency_invariants():
             continue
         code = v.reasons[0].code
         if code in (ReasonCode.THREE_TIMES_SPLIT_RANK, ReasonCode.SPLIT_INERT_RANK):
-            assert sigma_rank(v.input_d) == 2
+            assert ramify(v.input_d).sigma_rank == 2
             assert v.sigma_rank == 2
         if code is ReasonCode.CUBIC_SYMBOL_CONJECTURE:
             p = v.decomposition.split_primes[0][0]
@@ -345,6 +345,38 @@ def test_scan_includes_prime_and_square_for_same_field():
 def test_scan_rejects_bad_bound():
     with pytest.raises(ValueError):
         scan(1)
+
+
+# ------------------------------------------------------ one factorization each
+
+
+@pytest.fixture
+def factorize_calls(monkeypatch):
+    """The arguments of every factorize call made through the radicand layer."""
+    import cubic93.radicand
+
+    calls: list[int] = []
+    real = cubic93.radicand.factorize
+
+    def counting(n: int) -> dict[int, int]:
+        calls.append(n)
+        return real(n)
+
+    monkeypatch.setattr(cubic93.radicand, "factorize", counting)
+    return calls
+
+
+def test_classify_factors_once(factorize_calls):
+    for n in (199, 12, 24, 54, 199**4):
+        del factorize_calls[:]
+        classify(n)
+        assert factorize_calls == [n]
+
+
+def test_scan_factors_each_radicand_once(factorize_calls):
+    verdicts = scan(3000)
+    assert len(factorize_calls) == len(verdicts)
+    assert factorize_calls == [v.input_d for v in verdicts]
 
 
 def test_verdict_json_round_trips_key_fields():

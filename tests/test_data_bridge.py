@@ -34,8 +34,7 @@ def test_bundled_table_shape():
     assert rows[0].p == 199
     assert rows[-1].p == 5347
     for row in rows:
-        assert row.p_mod9 == 1
-        assert row.p_squared == row.p * row.p
+        assert row.p % 9 == 1
         assert row.h_gamma3 == 9 and row.h_k3 == 27 and row.u == 1
         assert row.c_gamma == ClassGroupShape.of(9)
         assert row.c_k == ClassGroupShape.of(9, 3)
@@ -79,6 +78,22 @@ def test_load_rejects_malformed_lines_with_line_numbers(tmp_path: Path):
                                 "c_gamma": [9], "c_k": [9, 3]}) + "\n")
     with pytest.raises(FixtureError, match="not prime"):
         load_fixtures(path)
+
+
+def test_load_checks_optional_derived_fields(tmp_path: Path):
+    row = {"p": 199, "h_gamma3": 9, "h_k3": 27, "u": 1, "c_gamma": [9], "c_k": [9, 3]}
+    path = tmp_path / "rows.jsonl"
+    path.write_text(json.dumps({**row, "p_squared": 199**2, "p_mod9": 1}) + "\n")
+    assert [r.p for r in load_fixtures(path)] == [199]
+    for extra, message in (
+        ({"p_squared": 199}, "p_squared != p"),
+        ({"p_mod9": 2}, "p_mod9 != p mod 9"),
+        ({"p_squared": [1]}, "line 1"),
+        ({"p_mod9": "x"}, "line 1"),
+    ):
+        path.write_text(json.dumps({**row, **extra}) + "\n")
+        with pytest.raises(FixtureError, match=message):
+            load_fixtures(path)
 
 
 def test_load_empty_file(tmp_path: Path):
@@ -218,6 +233,17 @@ def test_cas_u_inference_rejects_impossible_data(tmp_path: Path):
         cas_query(199, config)
 
 
+@pytest.mark.parametrize("invariants", ["[0]", "[-9]"])
+def test_cas_rejects_non_positive_invariants(tmp_path: Path, invariants: str):
+    config = make_stub(
+        tmp_path,
+        'import sys; sys.stdin.read(); print("CUBIC [9]");'
+        f' print("SEXTIC {invariants}")',
+    )
+    with pytest.raises(CasError, match="invariant"):
+        cas_query(199, config)
+
+
 def test_cas_missing_executable_is_unavailable():
     config = CasConfig(command=("/nonexistent/gp-binary",), timeout=5.0)
     with pytest.raises(CasUnavailableError):
@@ -262,7 +288,7 @@ def test_fixture_row_u_inference_pair():
     # (h_gamma3, h_k3) = (9, 27) pins u = 1 through the h relation
     assert hk_from_hgamma(9, 1) == 27
     row = FixtureRow(
-        p=199, p_squared=199**2, p_mod9=1, h_gamma3=9, h_k3=27, u=1,
+        p=199, h_gamma3=9, h_k3=27, u=1,
         c_gamma=ClassGroupShape.of(9), c_k=ClassGroupShape.of(9, 3),
     )
     assert row.h_k3 == hk_from_hgamma(row.h_gamma3, row.u)

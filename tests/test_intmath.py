@@ -1,4 +1,4 @@
-"""The integer kernel: deterministic primality.
+"""The integer kernel: deterministic primality and the 3-part of n.
 
 is_prime switches from trial division to Miller-Rabin at 50 000 and picks
 its bases by size, so it is checked against plain trial division across
@@ -13,7 +13,7 @@ from math import isqrt
 
 import pytest
 
-from cubic93._intmath import is_prime
+from cubic93._intmath import is_prime, three_part
 
 
 def oracle_is_prime(n: int) -> bool:
@@ -99,3 +99,13 @@ def test_matches_sympy_on_large_inputs():
     for n in cases:
         if n < 3317044064679887385961981:
             assert is_prime(n) == sympy.isprime(n), n
+
+
+def test_three_part():
+    for n in range(1, 2000):
+        g = three_part(n)
+        assert n % g == 0 and (n // g) % 3 != 0
+        assert g == 3 ** sum(1 for k in range(1, 8) if n % 3**k == 0)
+    for bad in (0, -1, -9):
+        with pytest.raises(ValueError):
+            three_part(bad)

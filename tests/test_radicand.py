@@ -8,13 +8,7 @@ from __future__ import annotations
 
 import pytest
 
-from cubic93.radicand import (
-    Mod9Residue,
-    cube_free_sieve,
-    gerth_decompose,
-    normalize,
-    residue_mod9,
-)
+from cubic93.radicand import cube_free_sieve, gerth_decompose, normalize
 
 LIMIT = 100_000
 
@@ -46,7 +40,7 @@ def test_normalize_twelve():
     nr = normalize(12)
     assert (nr.d, nr.a, nr.b, nr.conjugate_d) == (12, 3, 2, 18)
     assert nr.canonical == 12
-    assert not nr.cube_part_stripped
+    assert nr.d == 12  # nothing stripped
 
 
 def test_normalize_prime_and_its_square():
@@ -66,9 +60,9 @@ def test_normalize_rejects_perfect_cubes_and_small_inputs():
 def test_normalize_strips_cube_factors():
     nr = normalize(24)  # 2^3 * 3
     assert nr.d == 3
-    assert nr.cube_part_stripped
+    assert nr.d != 24  # a cube part was stripped
     nr = normalize(54)  # 2 * 3^3
-    assert (nr.d, nr.cube_part_stripped) == (2, True)
+    assert (nr.d, nr.d != 54) == (2, True)
 
 
 def test_normalize_idempotent_and_conjugate_swaps():
@@ -120,9 +114,26 @@ def test_decompose_exhaustive_against_sieve():
         fac = oracle_factor(d, spf)
         cube_free = all(e <= 2 for e in fac.values())
         assert bool(flags[d]) == cube_free
+
+        # normalize(n), cube factors included, against d = a*b^2 from the oracle
+        a = b = 1
+        for p, e in fac.items():
+            if e % 3 == 1:
+                a *= p
+            elif e % 3 == 2:
+                b *= p
+        if a * b == 1:
+            with pytest.raises(ValueError, match="perfect cube"):
+                normalize(d)
+            continue
+        nr = normalize(d)
+        assert (nr.d, nr.a, nr.b, nr.conjugate_d) == (a * b * b, a, b, a * a * b), d
+        assert nr.canonical == min(a * b * b, a * a * b)
+        assert (nr.d != d) == any(e >= 3 for e in fac.values())
         if not cube_free:
             continue
         g = gerth_decompose(d)
+        assert g == nr
         assert g.recomposed() == d
         listed = [p for p, _ in g.class1mod9 + g.class47mod9 + g.class8mod9 + g.class25mod9]
         assert sorted(listed) == sorted(p for p in fac if p != 3)
@@ -143,13 +154,3 @@ def test_decompose_exhaustive_against_sieve():
         if d % 9 in (1, 8):
             assert g.e == 0  # d = +-1 (mod 9) forces 3 not to divide d
 
-
-# ------------------------------------------------------------------ residues
-
-
-def test_residue_mod9():
-    assert residue_mod9(199) is Mod9Residue.PLUS_MINUS_ONE
-    assert residue_mod9(21) is Mod9Residue.OTHER
-    assert residue_mod9(17) is Mod9Residue.PLUS_MINUS_ONE
-    assert residue_mod9(26) is Mod9Residue.PLUS_MINUS_ONE
-    assert residue_mod9(9) is Mod9Residue.OTHER

@@ -6,15 +6,7 @@ import pytest
 
 from cubic93.eisenstein import SplitKind, factor_rational_prime
 from cubic93.radicand import cube_free_sieve
-from cubic93.ramification import (
-    K0PrimeKind,
-    QStar,
-    count_t,
-    gamma_ramified,
-    q_star,
-    ramify,
-    sigma_rank,
-)
+from cubic93.ramification import K0PrimeKind, QStar, ramify
 
 LIMIT = 10_000
 
@@ -33,35 +25,44 @@ def oracle_factor(n: int) -> dict[int, int]:
 
 
 def test_gamma_ramified_examples():
-    primes, three = gamma_ramified(199)
-    assert primes == frozenset({199}) and not three
-    primes, three = gamma_ramified(21)
-    assert primes == frozenset({3, 7}) and three
-    primes, three = gamma_ramified(7)  # 7 != +-1 (mod 9): 3 ramifies too
-    assert primes == frozenset({7, 3}) and three
-    primes, three = gamma_ramified(17)  # 17 = 8 (mod 9): 3 stays unramified
-    assert primes == frozenset({17}) and not three
+    rep = ramify(199)
+    assert rep.gamma_ramified == frozenset({199}) and not rep.three_ramified
+    rep = ramify(21)
+    assert rep.gamma_ramified == frozenset({3, 7}) and rep.three_ramified
+    rep = ramify(7)  # 7 != +-1 (mod 9): 3 ramifies too
+    assert rep.gamma_ramified == frozenset({7, 3}) and rep.three_ramified
+    rep = ramify(17)  # 17 = 8 (mod 9): 3 stays unramified
+    assert rep.gamma_ramified == frozenset({17}) and not rep.three_ramified
+
+
+def test_three_ramified_by_residue_mod9():
+    # 3 stays unramified exactly for d = +-1 (mod 9)
+    assert not ramify(199).three_ramified
+    assert ramify(21).three_ramified
+    assert not ramify(17).three_ramified
+    assert not ramify(26).three_ramified
+    assert ramify(9).three_ramified
 
 
 def test_count_t_examples():
-    assert count_t(199) == 2
-    assert count_t(57) == 3  # 3 * 19 with 19 = 1 (mod 9)
-    assert count_t(597) == 3  # 3 * 199
-    assert count_t(42) == 4  # 2 * 3 * 7
+    assert ramify(199).t == 2
+    assert ramify(57).t == 3  # 3 * 19 with 19 = 1 (mod 9)
+    assert ramify(597).t == 3  # 3 * 199
+    assert ramify(42).t == 4  # 2 * 3 * 7
 
 
 def test_q_star_examples():
-    assert q_star(199) is QStar.ONE
-    assert q_star(3383) is QStar.ONE  # 199 * 17, both residues good
-    assert q_star(7) is QStar.UNKNOWN
-    assert q_star(26) is QStar.UNKNOWN  # 13 = 4, 2 = 2 (mod 9)
+    assert ramify(199).q_star is QStar.ONE
+    assert ramify(3383).q_star is QStar.ONE  # 199 * 17, both residues good
+    assert ramify(7).q_star is QStar.UNKNOWN
+    assert ramify(26).q_star is QStar.UNKNOWN  # 13 = 4, 2 = 2 (mod 9)
 
 
 def test_sigma_rank_examples():
-    assert sigma_rank(199) == 1
-    assert sigma_rank(597) == 2
-    assert sigma_rank(3383) == 2
-    assert sigma_rank(7) is None  # unknown q* propagates
+    assert ramify(199).sigma_rank == 1
+    assert ramify(597).sigma_rank == 2
+    assert ramify(3383).sigma_rank == 2
+    assert ramify(7).sigma_rank is None  # unknown q* propagates
 
 
 def test_report_structure_for_42():
@@ -100,7 +101,7 @@ def test_t_identity_exhaustive():
                 elif p % 3 == 2:
                     assert p % 9 == 8
         else:
-            assert rep.q_star is QStar.UNKNOWN  # ZERO is never emitted
+            assert rep.q_star is QStar.UNKNOWN
             assert rep.sigma_rank is None
 
 
