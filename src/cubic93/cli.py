@@ -19,9 +19,9 @@ from .cas import CasConfig, CasError
 from .classifier import Verdict, VerdictStatus, classify, scan
 from .eisenstein import rational_cubic_symbol
 from .fixtures import FixtureError, reproduce_table
-from .genus import format_cubic, genus_field_description
+from .genus import _genus_from_form, format_cubic
 from .radicand import GerthForm, normalize
-from .ramification import ramify
+from .ramification import _ramify_from_form
 
 USAGE_ERROR = 1
 DATA_ERROR = 2
@@ -128,7 +128,7 @@ def _cmd_decompose(args: argparse.Namespace) -> int:
 
 
 def _cmd_ramify(args: argparse.Namespace) -> int:
-    rep = ramify(_normalize_noting(args.d).d)
+    rep = _ramify_from_form(_normalize_noting(args.d))
     print(f"d = {rep.d}")
     print(f"ramified in the cubic field: {sorted(rep.gamma_ramified)}"
           f"   (3 ramified: {rep.three_ramified})")
@@ -143,7 +143,7 @@ def _cmd_ramify(args: argparse.Namespace) -> int:
 
 
 def _cmd_genus(args: argparse.Namespace) -> int:
-    rep = genus_field_description(_normalize_noting(args.d).d, h_gamma3_exactly9=False)
+    rep = _genus_from_form(_normalize_noting(args.d), h_gamma3_exactly9=False)
     print(f"d = {rep.d}: r = {rep.r}, genus number 3^{rep.r} = {rep.genus_number}")
     for p, coeffs in rep.m_fields:
         print(f"M({p}): {format_cubic(coeffs)}")

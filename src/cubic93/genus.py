@@ -10,11 +10,11 @@ with L = 1 (mod 3), the three periods are the roots of
 
     x^3 + x^2 - ((p - 1)/3) x - (p(L + 3) - 1)/27,
 
-a classical consequence of the cubic Gauss sum evaluation.  The exact
-coefficients are cross-checked against high-precision numeric periods
-before being returned, so a wrong branch in the (L, M) search cannot slip
-through silently.  mpmath, which computes the periods, is imported on the
-first such check, so importing the package does not load it.
+a classical consequence of the cubic Gauss sum evaluation.  Before being
+returned, the coefficients are checked exactly against the periods
+themselves, reduced modulo a large prime ell = 1 (mod p), so a wrong branch
+in the (L, M) search cannot slip through silently.  Everything is integer
+arithmetic; no floating point and no third-party package is involved.
 """
 
 from __future__ import annotations
@@ -23,20 +23,11 @@ from dataclasses import dataclass
 from enum import Enum
 from functools import lru_cache
 from math import isqrt
-from typing import TYPE_CHECKING
 
-from ._intmath import is_prime
-from .radicand import gerth_decompose
-
-#: residual tolerance for the numeric verification of period polynomials
-NUMERIC_TOLERANCE = 1e-6
-#: working precision (decimal digits) for the period evaluation
-_VERIFY_DPS = 40
+from ._intmath import factorize, is_prime
+from .radicand import GerthForm, gerth_decompose
 
 Cubic = tuple[int, int, int, int]
-
-if TYPE_CHECKING:
-    import mpmath
 
 
 def genus_number(d: int) -> tuple[int, int]:
@@ -62,22 +53,6 @@ def _gauss_sum_parameters(p: int) -> tuple[int, int]:
     raise ArithmeticError(f"no decomposition 4*{p} = L^2 + 27M^2 found")
 
 
-def _numeric_periods(p: int) -> list[mpmath.mpf]:
-    """The three degree-3 Gaussian periods of Q(zeta_p), high precision."""
-    import mpmath
-
-    cubes = sorted({pow(x, 3, p) for x in range(1, p)})
-    cube_set = set(cubes)
-    n = 2
-    while n % p == 0 or n % p in cube_set:
-        n += 1
-    cosets = (cubes, [n * t % p for t in cubes], [n * n * t % p for t in cubes])
-    two_pi = 2 * mpmath.pi
-    return [
-        mpmath.fsum(mpmath.cos(two_pi * t / p) for t in coset) for coset in cosets
-    ]
-
-
 @lru_cache(maxsize=None)
 def period_polynomial(p: int) -> Cubic:
     """Monic integer cubic with the Gaussian periods of Q(zeta_p) as roots.
@@ -97,15 +72,60 @@ def period_polynomial(p: int) -> Cubic:
 
 
 def _verify_periods(p: int, coeffs: Cubic) -> None:
-    import mpmath
+    """Raise ArithmeticError unless the periods of Q(zeta_p) are the roots of coeffs.
 
-    with mpmath.workdps(_VERIFY_DPS):
-        for eta in _numeric_periods(p):
-            residual = abs(((eta + coeffs[1]) * eta + coeffs[2]) * eta + coeffs[3])
-            if residual > NUMERIC_TOLERANCE:
-                raise ArithmeticError(
-                    f"period polynomial for {p} misses its root: |res| = {residual}"
-                )
+    The periods are reduced modulo a prime ell = 1 (mod p): there zeta_p maps
+    to an element zeta of order p in F_ell, and the period over a coset C of
+    the cubes in F_p^* maps to the sum of zeta^t over t in C.  Each period is
+    real with |eta| <= (p - 1)/3, so prod(x - eta) has integer coefficients
+    of absolute value at most (1 + (p - 1)/3)^3.  If the three residues are
+    distinct roots of the monic coeffs mod ell, then coeffs and prod(x - eta)
+    agree mod ell, and since ell exceeds twice every coefficient of both,
+    they are equal.  (A correct cubic always passes: ell does not divide its
+    discriminant p^2 M^2, so its roots stay distinct mod ell.)
+    """
+    bound = 2 * max((1 + (p - 1) // 3) ** 3, *(abs(c) for c in coeffs))
+    k = bound // p + 1
+    while not is_prime(k * p + 1):
+        k += 1
+    ell = k * p + 1
+    a = 2
+    while (zeta := pow(a, k, ell)) == 1:
+        a += 1
+    # the cubic coset of t = g^i in F_p^* is i mod 3
+    g = _primitive_root(p)
+    coset = bytearray(p)
+    t = 1
+    for _ in range((p - 1) // 3):
+        t = t * g % p
+        coset[t] = 1
+        t = t * g % p
+        coset[t] = 2
+        t = t * g % p
+    etas = [0, 0, 0]
+    z = 1
+    for t in range(1, p):
+        z = z * zeta % ell
+        etas[coset[t]] += z
+    residues = {eta % ell for eta in etas}
+    one, c2, c1, c0 = coeffs
+    if (
+        one != 1
+        or len(residues) != 3
+        or any((((x + c2) * x + c1) * x + c0) % ell for x in residues)
+    ):
+        raise ArithmeticError(
+            f"period polynomial for {p} does not vanish on the periods mod {ell}"
+        )
+
+
+def _primitive_root(p: int) -> int:
+    """The least generator of F_p^* for a prime p."""
+    cofactors = [(p - 1) // q for q in factorize(p - 1)]
+    g = 2
+    while any(pow(g, c, p) == 1 for c in cofactors):
+        g += 1
+    return g
 
 
 def format_cubic(coeffs: Cubic) -> str:
@@ -177,7 +197,10 @@ def genus_field_description(d: int, h_gamma3_exactly9: bool) -> GenusReport:
     False when r < 2 under that hypothesis, and None when it cannot be
     decided from the given data.
     """
-    form = gerth_decompose(d)
+    return _genus_from_form(gerth_decompose(d), h_gamma3_exactly9)
+
+
+def _genus_from_form(form: GerthForm, h_gamma3_exactly9: bool) -> GenusReport:
     split = [p for p, _ in form.split_primes]
     r = len(split)
     polys = tuple((p, period_polynomial(p)) for p in split)
@@ -195,7 +218,7 @@ def genus_field_description(d: int, h_gamma3_exactly9: bool) -> GenusReport:
             f"inconsistent data: 3^{r} divides h, so 9 cannot divide h exactly"
         )
     return GenusReport(
-        d=d,
+        d=form.d,
         r=r,
         genus_number=3**r,
         m_fields=polys,

@@ -350,22 +350,6 @@ def test_scan_rejects_bad_bound():
 # ------------------------------------------------------ one factorization each
 
 
-@pytest.fixture
-def factorize_calls(monkeypatch):
-    """The arguments of every factorize call made through the radicand layer."""
-    import cubic93.radicand
-
-    calls: list[int] = []
-    real = cubic93.radicand.factorize
-
-    def counting(n: int) -> dict[int, int]:
-        calls.append(n)
-        return real(n)
-
-    monkeypatch.setattr(cubic93.radicand, "factorize", counting)
-    return calls
-
-
 def test_classify_factors_once(factorize_calls):
     for n in (199, 12, 24, 54, 199**4):
         del factorize_calls[:]

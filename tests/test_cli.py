@@ -179,3 +179,46 @@ def test_scan_into_a_closed_pipe_exits_quietly():
 def test_import_does_not_load_mpmath():
     code = "import cubic93, sys; assert 'mpmath' not in sys.modules"
     subprocess.run([sys.executable, "-c", code], env=subprocess_env(), check=True, timeout=120)
+
+
+def test_commands_run_with_mpmath_blocked():
+    code = (
+        "import sys\n"
+        "sys.modules['mpmath'] = None\n"
+        "from cubic93.cli import main\n"
+        "for argv in (['genus', '455'], ['genus', '1000003'], ['classify', '199'],\n"
+        "             ['decompose', '24'], ['ramify', '42'], ['symbol', '2', '31'],\n"
+        "             ['table'], ['scan', '--max', '200']):\n"
+        "    assert main(argv) == 0, argv\n"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", code],
+        env=subprocess_env(),
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert "M(7): x^3 + x^2 - 2x - 1" in proc.stdout
+    assert "M(1000003): x^3 + x^2 - 333334x - 37259371" in proc.stdout
+
+
+def test_period_check_raises_without_asserts():
+    code = (
+        "from cubic93.genus import _verify_periods, period_polynomial\n"
+        "one, c2, c1, c0 = period_polynomial(100003)\n"
+        "for bad in ((one, c2, c1, c0 + 1), (one, c2, c1, c0 - 1)):\n"
+        "    try:\n"
+        "        _verify_periods(100003, bad)\n"
+        "    except ArithmeticError:\n"
+        "        continue\n"
+        "    raise SystemExit(f'perturbed cubic {bad} accepted')\n"
+    )
+    subprocess.run([sys.executable, "-O", "-c", code], env=subprocess_env(), check=True, timeout=120)
+
+
+@pytest.mark.parametrize("argv", [["ramify", "24"], ["genus", "455"], ["decompose", "24"]])
+def test_commands_factor_the_radicand_once(capsys, factorize_calls, argv):
+    code, _, _ = run(capsys, *argv)
+    assert code == 0
+    assert factorize_calls == [int(argv[1])]
