@@ -39,7 +39,6 @@ from .eisenstein import (
     factor_rational_prime,
     gcd,
     is_one_mod_lambda_cubed,
-    is_one_mod_three,
     one_mod_three_associate,
     primary_associate,
     rational_cubic_symbol,
@@ -49,21 +48,17 @@ from .fixtures import (
     FixtureRow,
     TableReport,
     TableRowResult,
-    append_verdicts,
     load_bundled_fixtures,
     load_fixtures,
     reproduce_table,
     save_fixtures,
 )
 from .genus import (
-    BoundStatus,
     GenusReport,
-    SplitPrimeBound,
     format_cubic,
     genus_field_description,
     genus_number,
     period_polynomial,
-    split_prime_bound,
 )
 from .radicand import GerthForm, cube_free_sieve, gerth_decompose, normalize
 from .ramification import K0Prime, K0PrimeKind, QStar, RamificationReport, ramify

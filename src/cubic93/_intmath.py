@@ -5,15 +5,12 @@ deterministic Miller-Rabin above that: with the first k prime bases the
 strong-probable-prime test is exact below the least strong pseudoprime to
 all of them (Jaeschke; Sorenson and Webster), the first 13 reaching
 3.3e24.  Beyond that bound the test falls back to trial division, which is
-slow but keeps every answer exact.  Factorization is trial division and
-the prime lists come from a sieve.  The tool targets desk-scale inputs
-(radicands up to ~1e8, Eisenstein norms up to ~1e14), and everything stays
-exact and dependency-free.
+slow but keeps every answer exact.  Factorization is trial division.  The
+tool targets desk-scale inputs (radicands up to ~1e8, Eisenstein norms up
+to ~1e14), and everything stays exact and dependency-free.
 """
 
 from __future__ import annotations
-
-from math import isqrt
 
 #: below this, trial division beats Miller-Rabin (the crossover measured
 #: 3e4-5e4 with CPython 3.11 on a 2-vCPU Intel Xeon virtual machine)
@@ -109,23 +106,3 @@ def three_part(n: int) -> int:
         g *= 3
         n //= 3
     return g
-
-
-def primes_up_to(n: int) -> list[int]:
-    """All primes <= n by a bytearray sieve."""
-    if n < 2:
-        return []
-    sieve = bytearray(b"\x01") * (n + 1)
-    sieve[0:2] = b"\x00\x00"
-    for p in range(2, isqrt(n) + 1):
-        if sieve[p]:
-            start = p * p
-            sieve[start : n + 1 : p] = b"\x00" * ((n - start) // p + 1)
-    return [i for i, flag in enumerate(sieve) if flag]
-
-
-def is_square(n: int) -> bool:
-    if n < 0:
-        return False
-    r = isqrt(n)
-    return r * r == n

@@ -4,8 +4,9 @@ The adapter writes a short gp script to the subprocess's standard input,
 asking for the class group invariants of the cubic field x^3 - d and of the
 sextic field obtained by composing with x^2 + x + 1, and parses the two
 integer lists from standard output.  The 3-parts of the invariants give the
-shapes and 3-class numbers; the unit index is inferred from
-h_k3 = (u/3) * h_gamma3^2 and flagged as inferred.
+shapes and 3-class numbers.  The CAS does not report the unit index, so
+u_estimate is solved from h_k3 = (u/3) * h_gamma3^2, and data that admit no
+u in {1, 3} are rejected.
 
 A missing executable raises CasUnavailableError so callers can degrade to a
 notice; anything else (timeout, bad exit, unparseable output) raises
@@ -48,7 +49,6 @@ class CasResult:
     c_gamma: ClassGroupShape
     c_k: ClassGroupShape
     u_estimate: int
-    u_inferred: bool = True
 
 
 def _script(d: int) -> str:
@@ -111,5 +111,4 @@ def cas_query(d: int, config: CasConfig) -> CasResult:
         c_gamma=c_gamma,
         c_k=c_k,
         u_estimate=num // den,
-        u_inferred=True,
     )

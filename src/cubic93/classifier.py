@@ -100,8 +100,10 @@ def type93_equivalence(
     forward: from a sextic shape, derive (c_gamma, u); only type (9, 3) is
     governed.  backward: from (c_gamma, u), derive the sextic shape.
     Supplying contradictory data yields consistent=False with the reason in
-    the trace.
+    the trace.  A unit index other than 1 or 3 raises ValueError either way.
     """
+    if u is not None and u not in (1, 3):
+        raise ValueError(f"unit index must be 1 or 3, got {u}")
     if direction == "forward":
         if c_k is None:
             raise ValueError("forward direction needs the sextic shape c_k")
@@ -157,8 +159,6 @@ def type93_equivalence(
     if direction == "backward":
         if c_gamma is None or u is None:
             raise ValueError("backward direction needs c_gamma and u")
-        if u not in (1, 3):
-            raise ValueError(f"unit index must be 1 or 3, got {u}")
         if c_gamma == CYCLIC_9 and u == 1:
             return EquivalenceResult(
                 applicable=True,

@@ -163,11 +163,8 @@ def _cmd_symbol(args: argparse.Namespace) -> int:
 
 
 def _cmd_table(args: argparse.Namespace) -> int:
-    if args.cas:
-        config = CasConfig(command=tuple(shlex.split(args.cas)))
-        report = reproduce_table("cas", fixtures_path=args.fixtures, cas_config=config)
-    else:
-        report = reproduce_table("fixtures", fixtures_path=args.fixtures)
+    config = CasConfig(command=tuple(shlex.split(args.cas))) if args.cas else None
+    report = reproduce_table(args.fixtures, config)
     if report.skipped_reason is not None:
         print(f"table check skipped: {report.skipped_reason}")
         return 0

@@ -244,11 +244,6 @@ class PrimeSplitting:
     kind: SplitKind
     factors: tuple[EisensteinInt, ...]
 
-    @property
-    def ideal_count(self) -> int:
-        """Number of distinct primes of Z[w] above p."""
-        return len(self.factors)
-
 
 def gcd(x: EisensteinInt, y: EisensteinInt) -> EisensteinInt:
     """A greatest common divisor of x and y (unique up to units)."""
@@ -272,10 +267,6 @@ def one_mod_three_associate(z: EisensteinInt) -> EisensteinInt:
     """The unique associate congruent to 1 (mod 3); the negative of the
     primary one.  Converts between the two usual normalisations."""
     return -primary_associate(z)
-
-
-def is_one_mod_three(z: EisensteinInt) -> bool:
-    return z.congruent_to(ONE, EisensteinInt(3))
 
 
 def is_one_mod_lambda_cubed(z: EisensteinInt) -> bool:

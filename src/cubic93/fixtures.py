@@ -1,4 +1,4 @@
-"""Fixture table handling, verdict persistence and table reproduction.
+"""Fixture table handling and table reproduction.
 
 The bundled table lists 28 primes p = 1 (mod 9), from 199 up to 5347, whose
 cubic field has 3-class number exactly 9 and whose sextic field has unit
@@ -8,7 +8,9 @@ through the CAS adapter when a gp binary is available.
 
 Fixture files are JSON Lines: one object per row with the fields
 p, h_gamma3, h_k3, u, c_gamma, c_k.  Saving uses a canonical field order so
-that a load/save round trip is byte-identical.
+that a load/save round trip is byte-identical.  Every value must be a JSON
+integer (a list of them for c_gamma and c_k); floats, strings and booleans
+are rejected rather than coerced.
 """
 
 from __future__ import annotations
@@ -41,6 +43,13 @@ class FixtureRow:
     c_k: ClassGroupShape
 
 
+def _integer(value: object, name: str, where: str) -> int:
+    """value itself if it is a JSON integer; bools, floats and strings fail."""
+    if type(value) is not int:
+        raise FixtureError(f"{where}: {name} must be an integer, got {value!r}")
+    return value
+
+
 def _parse_row(record: dict, where: str) -> FixtureRow:
     missing = [k for k in _FIELDS if k not in record]
     if missing:
@@ -51,17 +60,18 @@ def _parse_row(record: dict, where: str) -> FixtureRow:
     for key in ("c_gamma", "c_k"):
         if not isinstance(record[key], list):
             raise FixtureError(f"{where}: {key} must be a list of cyclic orders")
+    p, h_gamma3, h_k3, u = (_integer(record[k], k, where) for k in _FIELDS[:4])
+    gamma_orders, k_orders = (
+        tuple(_integer(x, f"{k} entry", where) for x in record[k])
+        for k in ("c_gamma", "c_k")
+    )
     try:
-        p = int(record["p"])
-        h_gamma3 = int(record["h_gamma3"])
-        h_k3 = int(record["h_k3"])
-        u = int(record["u"])
-        c_gamma = ClassGroupShape(tuple(int(x) for x in record["c_gamma"]))
-        c_k = ClassGroupShape(tuple(int(x) for x in record["c_k"]))
-        p_squared = int(record.get("p_squared", p * p))
-        p_mod9 = int(record.get("p_mod9", p % 9))
-    except (TypeError, ValueError) as exc:
+        c_gamma = ClassGroupShape(gamma_orders)
+        c_k = ClassGroupShape(k_orders)
+    except ValueError as exc:
         raise FixtureError(f"{where}: {exc}") from exc
+    p_squared = _integer(record.get("p_squared", p * p), "p_squared", where)
+    p_mod9 = _integer(record.get("p_mod9", p % 9), "p_mod9", where)
     if not is_prime(p):
         raise FixtureError(f"{where}: p = {p} is not prime")
     if u not in (1, 3):
@@ -138,13 +148,6 @@ def save_fixtures(path: str | Path, rows: Iterable[FixtureRow]) -> None:
     Path(path).write_text(text, encoding="utf-8")
 
 
-def append_verdicts(path: str | Path, verdicts: Iterable[Verdict]) -> None:
-    """Append verdicts, traces included, as JSON Lines for later scans."""
-    with open(path, "a", encoding="utf-8") as handle:
-        for v in verdicts:
-            handle.write(json.dumps(v.to_json_dict()) + "\n")
-
-
 @dataclass(frozen=True)
 class TableRowResult:
     p: int
@@ -155,7 +158,6 @@ class TableRowResult:
 
 @dataclass(frozen=True)
 class TableReport:
-    source: str
     results: tuple[TableRowResult, ...]
     skipped_reason: str | None = None
 
@@ -172,28 +174,24 @@ class TableReport:
 
 
 def reproduce_table(
-    source: str = "fixtures",
     fixtures_path: str | Path | None = None,
     cas_config: CasConfig | None = None,
 ) -> TableReport:
     """Re-certify every fixture row through classify().
 
-    source='fixtures' feeds each row's own (h_gamma3, u) back in;
-    source='cas' recomputes them with the external CAS first.  A missing CAS
-    executable yields a skipped report, never an exception.
+    Rows come from fixtures_path, or from the bundled table when it is None.
+    Without a cas_config each row's own (h_gamma3, u) is fed back in; with
+    one, the external CAS recomputes them first.  A missing CAS executable
+    yields a skipped report, never an exception.
     """
-    if source not in ("fixtures", "cas"):
-        raise ValueError(f"source must be 'fixtures' or 'cas', got {source!r}")
     rows = load_fixtures(fixtures_path) if fixtures_path else load_bundled_fixtures()
     results: list[TableRowResult] = []
     for row in rows:
-        if source == "cas":
-            if cas_config is None:
-                raise ValueError("source='cas' needs a CasConfig")
+        if cas_config is not None:
             try:
                 cas = cas_query(row.p, cas_config)
             except CasUnavailableError as exc:
-                return TableReport(source=source, results=(), skipped_reason=str(exc))
+                return TableReport(results=(), skipped_reason=str(exc))
             h3, u = cas.h_gamma3, cas.u_estimate
             data_note = f"CAS: h_gamma3 = {h3}, c_k = {cas.c_k}, u inferred = {u}"
         else:
@@ -216,4 +214,4 @@ def reproduce_table(
         if data_note:
             message += f" [{data_note}]"
         results.append(TableRowResult(p=row.p, ok=ok, message=message, verdict=verdict))
-    return TableReport(source=source, results=tuple(results))
+    return TableReport(results=tuple(results))

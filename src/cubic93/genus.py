@@ -20,7 +20,6 @@ arithmetic; no floating point and no third-party package is involved.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from enum import Enum
 from functools import lru_cache
 from math import isqrt
 
@@ -142,41 +141,6 @@ def format_cubic(coeffs: Cubic) -> str:
         else:
             parts.append(f"+ {body}" if c > 0 else f"- {body}")
     return " ".join(parts) if parts else "0"
-
-
-class BoundStatus(Enum):
-    NOT_APPLICABLE = "not_applicable"
-    ADMISSIBLE = "admissible"
-    VIOLATION = "violation"
-
-
-@dataclass(frozen=True)
-class SplitPrimeBound:
-    status: BoundStatus
-    r: int
-    detail: str
-
-
-def split_prime_bound(h_gamma3_exactly9: bool, r: int) -> SplitPrimeBound:
-    """Check r against the bound forced by 9 exactly dividing h.
-
-    3^r divides the class number of the cubic field, so 9 || h forces
-    r <= 2; the admissible subcases are r = 0, 1, 2.
-    """
-    if not h_gamma3_exactly9:
-        return SplitPrimeBound(
-            BoundStatus.NOT_APPLICABLE, r, "no exact-9 hypothesis supplied"
-        )
-    if r <= 2:
-        labels = {0: "no prime", 1: "one prime", 2: "two primes"}
-        return SplitPrimeBound(
-            BoundStatus.ADMISSIBLE, r, f"{labels[r]} = 1 (mod 3) dividing d"
-        )
-    return SplitPrimeBound(
-        BoundStatus.VIOLATION,
-        r,
-        f"3^{r} divides h, contradicting that 9 divides h exactly",
-    )
 
 
 @dataclass(frozen=True)

@@ -112,6 +112,11 @@ def test_equivalence_rejects_bad_inputs():
         type93_equivalence("forward")
     with pytest.raises(ValueError):
         type93_equivalence("backward", c_gamma=ClassGroupShape.of(9), u=2)
+    for c_gamma in (None, ClassGroupShape.of(3)):
+        with pytest.raises(ValueError, match="unit index"):
+            type93_equivalence(
+                "forward", c_k=ClassGroupShape.of(9, 3), c_gamma=c_gamma, u=2
+            )
 
 
 def test_class_group_shape_validation():

@@ -14,11 +14,10 @@ from pathlib import Path
 import pytest
 
 from cubic93.cas import CasConfig, CasError, CasUnavailableError, cas_query
-from cubic93.classifier import ClassGroupShape, classify, hk_from_hgamma
+from cubic93.classifier import ClassGroupShape, hk_from_hgamma
 from cubic93.fixtures import (
     FixtureError,
     FixtureRow,
-    append_verdicts,
     load_bundled_fixtures,
     load_fixtures,
     reproduce_table,
@@ -96,6 +95,31 @@ def test_load_checks_optional_derived_fields(tmp_path: Path):
             load_fixtures(path)
 
 
+@pytest.mark.parametrize(
+    "extra",
+    [
+        {"p": 199.9, "h_gamma3": 9.2, "c_gamma": [9.7]},
+        {"p": 199.0},
+        {"p": "199"},
+        {"h_gamma3": "9"},
+        {"h_k3": 27.0},
+        {"u": True},
+        {"c_gamma": [9.0]},
+        {"c_k": [9, "3"]},
+        {"c_k": [9, True]},
+        {"p_squared": 39601.0},
+        {"p_mod9": True},
+    ],
+    ids=lambda extra: json.dumps(extra),
+)
+def test_load_rejects_non_integer_values(tmp_path: Path, extra: dict):
+    good = {"p": 199, "h_gamma3": 9, "h_k3": 27, "u": 1, "c_gamma": [9], "c_k": [9, 3]}
+    path = tmp_path / "rows.jsonl"
+    path.write_text(json.dumps(good) + "\n" + json.dumps({**good, **extra}) + "\n")
+    with pytest.raises(FixtureError, match="line 2: .* must be an integer"):
+        load_fixtures(path)
+
+
 def test_load_empty_file(tmp_path: Path):
     path = tmp_path / "empty.jsonl"
     path.write_text("")
@@ -131,7 +155,7 @@ def test_bundled_file_is_in_canonical_save_format(tmp_path: Path):
 
 
 def test_reproduce_table_from_fixtures():
-    report = reproduce_table("fixtures")
+    report = reproduce_table()
     assert report.all_ok
     assert len(report.results) == 28
     assert report.summary == "28/28 rows certified as type (9, 3)"
@@ -143,7 +167,7 @@ def test_reproduce_table_is_order_independent(tmp_path: Path):
     random.Random(11).shuffle(shuffled)
     path = tmp_path / "shuffled.jsonl"
     save_fixtures(path, shuffled)
-    report = reproduce_table("fixtures", fixtures_path=path)
+    report = reproduce_table(path)
     assert report.all_ok
     assert {r.p for r in report.results} == {r.p for r in rows}
 
@@ -157,31 +181,11 @@ def test_reproduce_table_flags_corrupted_row(tmp_path: Path):
         )
         + "\n"
     )
-    report = reproduce_table("fixtures", fixtures_path=path)
+    report = reproduce_table(path)
     assert not report.all_ok
     (result,) = report.results
     assert not result.ok
     assert "expected certified" in result.message
-
-
-def test_reproduce_table_rejects_unknown_source():
-    with pytest.raises(ValueError):
-        reproduce_table("folklore")
-
-
-# ------------------------------------------------------------------- verdicts
-
-
-def test_append_verdicts_round_trip(tmp_path: Path):
-    path = tmp_path / "verdicts.jsonl"
-    append_verdicts(path, [classify(199, 9, 1)])
-    append_verdicts(path, [classify(61)])
-    lines = path.read_text().splitlines()
-    assert len(lines) == 2
-    first, second = (json.loads(line) for line in lines)
-    assert first["status"] == "certified_9_3"
-    assert second["input_d"] == 61
-    assert first["trace"]
 
 
 # ------------------------------------------------------------------ CAS bridge
@@ -209,7 +213,6 @@ def test_cas_query_parses_stub_transcript(tmp_path: Path):
     assert result.c_gamma == ClassGroupShape.of(9)
     assert result.c_k == ClassGroupShape.of(9, 3)
     assert result.u_estimate == 1
-    assert result.u_inferred
 
 
 def test_cas_three_part_extraction(tmp_path: Path):
@@ -266,19 +269,14 @@ def test_reproduce_table_with_cas_stub(tmp_path: Path):
     rows = load_bundled_fixtures()[:3]
     path = tmp_path / "three.jsonl"
     save_fixtures(path, rows)
-    report = reproduce_table(
-        "cas", fixtures_path=path, cas_config=make_stub(tmp_path, GOOD_STUB)
-    )
+    report = reproduce_table(path, make_stub(tmp_path, GOOD_STUB))
     assert report.all_ok
     assert len(report.results) == 3
     assert all("CAS" in r.message for r in report.results)
 
 
 def test_reproduce_table_cas_unavailable_is_skipped(tmp_path: Path):
-    report = reproduce_table(
-        "cas",
-        cas_config=CasConfig(command=("/nonexistent/gp-binary",)),
-    )
+    report = reproduce_table(cas_config=CasConfig(command=("/nonexistent/gp-binary",)))
     assert report.skipped_reason is not None
     assert not report.all_ok
     assert "skipped" in report.summary

@@ -1,4 +1,4 @@
-"""Genus numbers, period polynomials and the exact-9 bound checks.
+"""Genus numbers, period polynomials and the exact-9 bound on r.
 
 The numeric oracles below recompute Gaussian periods with plain floats and
 math.cos, and with 40-digit mpmath cosines (the package's former runtime
@@ -16,13 +16,11 @@ import pytest
 
 import cubic93.genus
 from cubic93.genus import (
-    BoundStatus,
     _verify_periods,
     format_cubic,
     genus_field_description,
     genus_number,
     period_polynomial,
-    split_prime_bound,
 )
 
 EXPECTED_7 = (1, 1, -2, -1)
@@ -214,15 +212,16 @@ def test_format_cubic():
 # ------------------------------------------------------------- bound checking
 
 
-def test_split_prime_bound_cases():
-    admissible = split_prime_bound(True, 1)
-    assert admissible.status is BoundStatus.ADMISSIBLE
-    assert "one prime" in admissible.detail
-    assert split_prime_bound(True, 0).status is BoundStatus.ADMISSIBLE
-    assert split_prime_bound(True, 2).status is BoundStatus.ADMISSIBLE
-    violation = split_prime_bound(True, 3)
-    assert violation.status is BoundStatus.VIOLATION
-    assert split_prime_bound(False, 5).status is BoundStatus.NOT_APPLICABLE
+def test_genus_field_description_exact9_bound():
+    """3^r divides h, so 9 || h admits r <= 2 and flags r = 3 as inconsistent."""
+    assert genus_field_description(2, h_gamma3_exactly9=True).hilbert_equals_genus is False
+    rep = genus_field_description(1729, h_gamma3_exactly9=True)  # 7 * 13 * 19
+    assert rep.r == 3
+    assert rep.hilbert_equals_genus is None
+    assert any(note.startswith("inconsistent data") for note in rep.notes)
+    rep = genus_field_description(1729, h_gamma3_exactly9=False)
+    assert rep.hilbert_equals_genus is None
+    assert not any(note.startswith("inconsistent data") for note in rep.notes)
 
 
 # --------------------------------------------------------- field descriptions
