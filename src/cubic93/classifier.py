@@ -24,7 +24,7 @@ from enum import Enum
 from ._intmath import three_part
 from .eisenstein import CubicCharacterValue, rational_cubic_symbol
 from .radicand import GerthForm, cube_free_sieve, gerth_decompose, normalize
-from .ramification import QStar, _ramify_from_form
+from .ramification import QStar, _ambiguous_rank
 
 
 @dataclass(frozen=True)
@@ -296,14 +296,16 @@ def necessary_form(d: int) -> Verdict:
     Returns CANDIDATE_NEEDS_DATA exactly for d = p^e with p = 1 (mod 9);
     everything else is EXCLUDED with the first applicable reason, in the
     fixed order: no split prime; several split primes; then the five-form
-    case analysis for exactly one split prime.
+    case analysis for exactly one split prime.  The count t, q* and the
+    ambiguous rank come from the mod-9 counts of d; no prime is factored
+    in Z[w] (that is the ramify report's job).
     """
     return _necessary_form(gerth_decompose(d))
 
 
 def _necessary_form(g: GerthForm) -> Verdict:
     d = g.d
-    ram = _ramify_from_form(g)
+    _, t, q_star, sigma_rank = _ambiguous_rank(g)
     trace = [
         f"d = {d} = {_form_string(g)}",
         f"counts: v = {g.v}, w = {g.w}, I = {g.I}, J = {g.J}, e = {g.e};"
@@ -325,9 +327,9 @@ def _necessary_form(g: GerthForm) -> Verdict:
             reasons=reasons,
             trace=tuple(trace),
             decomposition=g,
-            t=ram.t,
-            q_star=ram.q_star,
-            sigma_rank=ram.sigma_rank,
+            t=t,
+            q_star=q_star,
+            sigma_rank=sigma_rank,
             predicted_class_group=predicted,
             symbol_three=symbol,
         )
@@ -406,9 +408,9 @@ def _necessary_form(g: GerthForm) -> Verdict:
     if g.J == 0 and g.e > 0:
         if p % 9 == 1:
             trace.append(
-                f"3 and {p} = 1 (mod 9) ramify: t = {ram.t} primes of k0"
+                f"3 and {p} = 1 (mod 9) ramify: t = {t} primes of k0"
                 " (lam and the two above p), all non-lam ones 1 mod lam^3,"
-                f" so q* = 1 and the ambiguous rank is {ram.sigma_rank};"
+                f" so q* = 1 and the ambiguous rank is {sigma_rank};"
                 " type (9, 3) needs ambiguous rank 1"
             )
             return verdict(
@@ -417,8 +419,8 @@ def _necessary_form(g: GerthForm) -> Verdict:
                 (
                     Reason(
                         ReasonCode.THREE_TIMES_SPLIT_RANK,
-                        f"t = {ram.t}, q* = 1, ambiguous rank"
-                        f" {ram.sigma_rank} != 1",
+                        f"t = {t}, q* = 1, ambiguous rank"
+                        f" {sigma_rank} != 1",
                     ),
                 ),
             )
@@ -444,9 +446,9 @@ def _necessary_form(g: GerthForm) -> Verdict:
     if g.J == 1 and g.e == 0 and d % 9 in (1, 8) and p % 9 == 1 and q % 9 == 8:
         trace.append(
             f"d = +-1 (mod 9) keeps 3 unramified; {p} splits and {q} stays"
-            f" inert, so t = {ram.t}; p = 1 (mod 9) and q = 8 (mod 9) put"
+            f" inert, so t = {t}; p = 1 (mod 9) and q = 8 (mod 9) put"
             " every ramified prime of k0 at 1 mod lam^3, so q* = 1 and the"
-            f" ambiguous rank is {ram.sigma_rank}; type (9, 3) needs rank 1"
+            f" ambiguous rank is {sigma_rank}; type (9, 3) needs rank 1"
         )
         return verdict(
             FormClass.PQ_1MOD9,
@@ -454,7 +456,7 @@ def _necessary_form(g: GerthForm) -> Verdict:
             (
                 Reason(
                     ReasonCode.SPLIT_INERT_RANK,
-                    f"t = {ram.t}, q* = 1, ambiguous rank {ram.sigma_rank} != 1",
+                    f"t = {t}, q* = 1, ambiguous rank {sigma_rank} != 1",
                 ),
             ),
         )
@@ -463,17 +465,17 @@ def _necessary_form(g: GerthForm) -> Verdict:
     if two_w_plus_j > 3:
         trace.append(
             f"2w + J = {two_w_plus_j} > 3, but an ambiguous rank of 1 allows"
-            f" only 2w + J in {{1, 2, 3}}; here t = {ram.t} >= 4 already"
+            f" only 2w + J in {{1, 2, 3}}; here t = {t} >= 4 already"
             " forces ambiguous rank >= 2"
         )
-        detail = f"2w + J = {two_w_plus_j} outside {{1, 2, 3}}; t = {ram.t}"
+        detail = f"2w + J = {two_w_plus_j} outside {{1, 2, 3}}; t = {t}"
     elif d % 9 not in (1, 8):
         trace.append(
-            f"d != +-1 (mod 9), so 3 ramifies as well: t = {ram.t} >= 4"
+            f"d != +-1 (mod 9), so 3 ramifies as well: t = {t} >= 4"
             " primes of k0 ramify, forcing ambiguous rank >= 2; type (9, 3)"
             " needs rank 1"
         )
-        detail = f"t = {ram.t} >= 4 forces ambiguous rank >= 2"
+        detail = f"t = {t} >= 4 forces ambiguous rank >= 2"
     else:
         trace.append(
             f"d = +-1 (mod 9) with one split and one inert prime, but"

@@ -117,9 +117,12 @@ def _parse_lines(text: str, source: str) -> list[FixtureRow]:
 
 def load_fixtures(path: str | Path) -> list[FixtureRow]:
     """Load and validate a JSON Lines fixture file."""
-    path = Path(path)
+    given, path = path, Path(path)
     if not path.exists():
         raise FixtureError(f"fixture file {path} does not exist")
+    # Path("") is the current directory, so name the path as given
+    if not path.is_file():
+        raise FixtureError(f"fixture path {str(given)!r} is not a file")
     return _parse_lines(path.read_text(encoding="utf-8"), str(path))
 
 
@@ -184,7 +187,7 @@ def reproduce_table(
     one, the external CAS recomputes them first.  A missing CAS executable
     yields a skipped report, never an exception.
     """
-    rows = load_fixtures(fixtures_path) if fixtures_path else load_bundled_fixtures()
+    rows = load_bundled_fixtures() if fixtures_path is None else load_fixtures(fixtures_path)
     results: list[TableRowResult] = []
     for row in rows:
         if cas_config is not None:

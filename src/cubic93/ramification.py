@@ -16,6 +16,11 @@ congruent to 1 mod lam^3, which at the rational level reads p = 1 (mod 9)
 for every split divisor and q = 8 (mod 9) for every inert divisor.  When it
 does not apply the indicator is reported as UNKNOWN rather than guessed, so
 every emitted rank is sound.
+
+t, q* and the rank are read off the mod-9 counts of the GerthForm alone:
+t = [3 ramifies] + 2w + J.  The list of ramified primes of k0, one Z[w]
+factorization per ramified rational prime, is built only for the ramify
+report, where its length cross-checks t.
 """
 
 from __future__ import annotations
@@ -64,9 +69,22 @@ def ramify(d: int) -> RamificationReport:
     return _ramify_from_form(gerth_decompose(d))
 
 
-def _ramify_from_form(form: GerthForm) -> RamificationReport:
+def _ambiguous_rank(form: GerthForm) -> tuple[bool, int, QStar, int | None]:
+    """(three ramified, t, q*, ambiguous rank) from the mod-9 counts of d."""
     # 3 ramifies in Q(cbrt(d)) when 3 | d or d != +-1 (mod 9)
     three = form.e > 0 or form.d % 9 not in (1, 8)
+    t = three + 2 * form.w + form.J
+    # Sufficient norm criterion: all non-lam ramified primes 1 mod lam^3.
+    if form.class47mod9 or form.class25mod9:
+        return three, t, QStar.UNKNOWN, None
+    rank = t - 2 + 1
+    if rank < 0:
+        raise ArithmeticError(f"negative ambiguous rank t - 1 = {rank} for d = {form.d}")
+    return three, t, QStar.ONE, rank
+
+
+def _ramify_from_form(form: GerthForm) -> RamificationReport:
+    three, t, qs, rank = _ambiguous_rank(form)
     primes = {p for p, _ in form.split_primes + form.inert_primes}
     if three:
         primes.add(3)
@@ -80,28 +98,22 @@ def _ramify_from_form(form: GerthForm) -> RamificationReport:
                 entries.append(K0Prime(K0PrimeKind.SPLIT, p, prime))
         else:
             entries.append(K0Prime(K0PrimeKind.INERT, p, splitting.factors[0]))
-    t = len(entries)
-
-    # Sufficient norm criterion: all non-lam ramified primes 1 mod lam^3.
-    if not form.class47mod9 and not form.class25mod9:
-        qs = QStar.ONE
-    else:
-        qs = QStar.UNKNOWN
+    if len(entries) != t:
+        raise ArithmeticError(
+            f"{len(entries)} ramified primes of k0 found in Z[w] for d = {form.d},"
+            f" but the mod-9 counts give t = {t}"
+        )
 
     notes = [
         "ambiguous classes are elementary: fixed by sigma, their cube is the"
         " norm to k0, which has class number 1",
     ]
     if qs is QStar.ONE:
-        rank: int | None = t - 2 + 1
         notes.append(
             "every non-lam ramified prime of k0 is 1 mod lam^3, so zeta_3 is"
             " a norm from k and q* = 1"
         )
-        if rank < 0:
-            raise ArithmeticError(f"negative ambiguous rank t - 1 = {rank} for d = {form.d}")
     else:
-        rank = None
         notes.append(
             "the sufficient norm criterion for q* = 1 does not apply and no"
             " general criterion is implemented, so q* stays unknown"

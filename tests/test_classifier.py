@@ -6,6 +6,7 @@ from math import isqrt
 
 import pytest
 
+import cubic93.ramification
 from cubic93.classifier import (
     ClassGroupShape,
     FormClass,
@@ -18,6 +19,7 @@ from cubic93.classifier import (
     type93_equivalence,
 )
 from cubic93.eisenstein import CubicCharacterValue, rational_cubic_symbol
+from cubic93.radicand import cube_free_sieve
 from cubic93.ramification import ramify
 
 LIMIT = 10_000
@@ -366,6 +368,33 @@ def test_scan_factors_each_radicand_once(factorize_calls):
     verdicts = scan(3000)
     assert len(factorize_calls) == len(verdicts)
     assert factorize_calls == [v.input_d for v in verdicts]
+
+
+def test_rank_from_counts_matches_the_ramify_report():
+    # ramify() counts t off its K0Prime list, one Z[w] factorization per
+    # ramified prime; the verdict reads t off the mod-9 counts.
+    flags = cube_free_sieve(100_000)
+    for d in range(2, len(flags)):
+        if flags[d]:
+            v, rep = necessary_form(d), ramify(d)
+            assert (v.t, v.q_star, v.sigma_rank) == (rep.t, rep.q_star, rep.sigma_rank), d
+
+
+def test_verdicts_factor_no_prime_in_z_omega(monkeypatch):
+    calls: list[int] = []
+    real = cubic93.ramification.factor_rational_prime
+
+    def counting(p: int):
+        calls.append(p)
+        return real(p)
+
+    monkeypatch.setattr(cubic93.ramification, "factor_rational_prime", counting)
+    scan(3000)
+    for d in (199, 597, 3383, 42, 39601):
+        classify(d)
+    assert calls == []
+    ramify(42)
+    assert calls == [2, 3, 7]
 
 
 def test_verdict_json_round_trips_key_fields():

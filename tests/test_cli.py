@@ -134,6 +134,15 @@ def test_table_unreadable_fixture_is_data_error(tmp_path: Path, capsys):
     assert "error" in err
 
 
+@pytest.mark.parametrize("path", ["", "."])
+def test_table_fixture_path_that_is_no_file_is_data_error(capsys, path):
+    # "" must not fall back to the bundled table, and Path("") is ".", a directory
+    code, out, err = run(capsys, "table", "--fixtures", path)
+    assert code == 2
+    assert out == ""
+    assert err == f"error: fixture path {path!r} is not a file\n"
+
+
 def test_table_cas_missing_is_notice_not_failure(capsys):
     code, out, _ = run(capsys, "table", "--cas", "/nonexistent/gp-binary -q")
     assert code == 0

@@ -2,8 +2,11 @@
 
 from __future__ import annotations
 
+from dataclasses import replace
+
 import pytest
 
+import cubic93.ramification
 from cubic93.eisenstein import SplitKind, factor_rational_prime
 from cubic93.radicand import cube_free_sieve
 from cubic93.ramification import K0PrimeKind, QStar, ramify
@@ -122,3 +125,17 @@ def test_splitting_consistency_with_eisenstein_layer():
 def test_rejects_non_cube_free():
     with pytest.raises(ValueError):
         ramify(8)
+
+
+def test_lost_split_factor_fails_the_t_cross_check(monkeypatch):
+    # A Z[w] splitting that returns one factor for a split prime must not
+    # pass silently: t from the K0Prime list then disagrees with the counts.
+    real = cubic93.ramification.factor_rational_prime
+
+    def one_factor(p: int):
+        splitting = real(p)
+        return replace(splitting, factors=splitting.factors[:1])
+
+    monkeypatch.setattr(cubic93.ramification, "factor_rational_prime", one_factor)
+    with pytest.raises(ArithmeticError, match="t = 3"):
+        ramify(7)
