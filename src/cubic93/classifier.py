@@ -2,11 +2,13 @@
 can be, or certainly is, of type (9, 3).
 
 The necessary-form analysis is purely arithmetic: it eliminates every shape
-of d except d = p^e with p = 1 (mod 9), walking through the exclusion
-arguments in a fixed order and recording a human-readable trace of each
-step.  Certification needs two external inputs that the library never
-computes itself, the exact 3-part h of the class number of the cubic field
-and the unit index u of the sextic field: with h = 9 and u = 1 the verdict
+of d except d = p^e with p = 1 (mod 9).  The outcome is decided first, from
+the mod-9 counts of d alone, by the first exclusion argument that applies in
+a fixed order; a human-readable trace of it is rendered after.
+
+Certification needs two external inputs that the library never computes
+itself, the exact 3-part h of the class number of the cubic field and the
+unit index u of the sextic field: with h = 9 and u = 1 the verdict
 upgrades to a certified type (9, 3); with h != 9 or u = 3 it flips to a
 data-backed exclusion.
 
@@ -123,37 +125,19 @@ def type93_equivalence(
             "tau splits C_k3 into fixed and inverted parts with |C^-| = 3",
             "C^+ is the cubic field's part, cyclic of order 9",
         ]
+        # the derivation always gives (Z/9, u = 1); supplied data can only conflict
+        conflict = None
         if u == 3:
-            return EquivalenceResult(
-                applicable=True,
-                consistent=False,
-                c_k=c_k,
-                c_gamma=CYCLIC_9,
-                u=1,
-                trace=tuple(
-                    trace
-                    + ["supplied u = 3 contradicts the derived u = 1"]
-                ),
-            )
-        if c_gamma is not None and c_gamma != CYCLIC_9:
-            return EquivalenceResult(
-                applicable=True,
-                consistent=False,
-                c_k=c_k,
-                c_gamma=CYCLIC_9,
-                u=u if u is not None else 1,
-                trace=tuple(
-                    trace
-                    + [f"supplied cubic shape {c_gamma} contradicts Z/9"]
-                ),
-            )
+            conflict = "supplied u = 3 contradicts the derived u = 1"
+        elif c_gamma is not None and c_gamma != CYCLIC_9:
+            conflict = f"supplied cubic shape {c_gamma} contradicts Z/9"
         return EquivalenceResult(
             applicable=True,
-            consistent=True,
+            consistent=conflict is None,
             c_k=c_k,
             c_gamma=CYCLIC_9,
             u=1,
-            trace=tuple(trace),
+            trace=tuple(trace if conflict is None else trace + [conflict]),
         )
 
     if direction == "backward":
@@ -296,87 +280,88 @@ def necessary_form(d: int) -> Verdict:
     Returns CANDIDATE_NEEDS_DATA exactly for d = p^e with p = 1 (mod 9);
     everything else is EXCLUDED with the first applicable reason, in the
     fixed order: no split prime; several split primes; then the five-form
-    case analysis for exactly one split prime.  The count t, q* and the
-    ambiguous rank come from the mod-9 counts of d; no prime is factored
-    in Z[w] (that is the ramify report's job).
+    case analysis for exactly one split prime.  The outcome, the count t,
+    q* and the ambiguous rank are decided from the mod-9 counts of d alone,
+    and the trace is rendered from them after; no prime is factored in
+    Z[w] (that is the ramify report's job).
     """
     return _necessary_form(gerth_decompose(d))
 
 
+# The form class each outcome of _decide names; None is the candidate shape.
+_FORM_OF: dict[ReasonCode | None, FormClass] = {
+    None: FormClass.P_1MOD9,
+    ReasonCode.NO_SPLIT_PRIME: FormClass.OTHER,
+    ReasonCode.MULTIPLE_SPLIT_PRIMES: FormClass.OTHER,
+    ReasonCode.CUBIC_SYMBOL_CONJECTURE: FormClass.P_47MOD9,
+    ReasonCode.THREE_TIMES_SPLIT_RANK: FormClass.THREE_P_1MOD9,
+    ReasonCode.THREE_TIMES_NONRESIDUE_CYCLIC: FormClass.THREE_P_47MOD9,
+    ReasonCode.SPLIT_INERT_RANK: FormClass.PQ_1MOD9,
+    ReasonCode.RANK_CASE_EXHAUSTION: FormClass.OTHER,
+}
+
+
+def _decide(g: GerthForm) -> ReasonCode | None:
+    """The first exclusion that applies to d, or None for the candidate shape.
+
+    Reads only the counts v, w, I, J, e and d mod 9, never a prime.
+    """
+    # (a) no prime = 1 (mod 3) divides d; (b) two or more do
+    if g.w == 0:
+        return ReasonCode.NO_SPLIT_PRIME
+    if g.w >= 2:
+        return ReasonCode.MULTIPLE_SPLIT_PRIMES
+    # exactly one p = 1 (mod 3) from here on, so p = 1 (mod 9) reads v == 1
+    if g.J == 0 and g.e == 0:
+        return None if g.v == 1 else ReasonCode.CUBIC_SYMBOL_CONJECTURE
+    if g.J == 0:
+        if g.v == 1:
+            return ReasonCode.THREE_TIMES_SPLIT_RANK
+        return ReasonCode.THREE_TIMES_NONRESIDUE_CYCLIC
+    # J >= 1: mixed split/inert forms; with J == 1, q = 8 (mod 9) reads I == 1
+    if g.J == 1 and g.e == 0 and g.d % 9 in (1, 8) and g.v == 1 and g.I == 1:
+        return ReasonCode.SPLIT_INERT_RANK
+    return ReasonCode.RANK_CASE_EXHAUSTION
+
+
 def _necessary_form(g: GerthForm) -> Verdict:
     d = g.d
+    code = _decide(g)
     _, t, q_star, sigma_rank = _ambiguous_rank(g)
     trace = [
         f"d = {d} = {_form_string(g)}",
         f"counts: v = {g.v}, w = {g.w}, I = {g.I}, J = {g.J}, e = {g.e};"
         f" d = {d % 9} (mod 9)",
     ]
+    # the first split and inert primes, where there are any, are p and q
+    p = g.split_primes[0][0] if g.w else None
+    q = g.inert_primes[0][0] if g.J else None
+    predicted: ClassGroupShape | None = None
+    symbol: CubicCharacterValue | None = None
 
-    def verdict(
-        form: FormClass,
-        status: VerdictStatus,
-        reasons: tuple[Reason, ...] = (),
-        predicted: ClassGroupShape | None = None,
-        symbol: CubicCharacterValue | None = None,
-    ) -> Verdict:
-        return Verdict(
-            input_d=d,
-            d=g.canonical,
-            form=form,
-            status=status,
-            reasons=reasons,
-            trace=tuple(trace),
-            decomposition=g,
-            t=t,
-            q_star=q_star,
-            sigma_rank=sigma_rank,
-            predicted_class_group=predicted,
-            symbol_three=symbol,
-        )
-
-    # (a) no prime = 1 (mod 3) divides d
-    if g.w == 0:
+    if code is ReasonCode.NO_SPLIT_PRIME:
         trace.append(
             "no prime = 1 (mod 3) divides d, so the sextic 3-class group is"
             " the square C x C of the cubic one; its order is an even power"
             " of 3 and can never be 27"
         )
-        return verdict(
-            FormClass.OTHER,
-            VerdictStatus.EXCLUDED,
-            (Reason(ReasonCode.NO_SPLIT_PRIME, "w = 0 forces C_k3 = C x C"),),
-        )
-
-    # (b) two or more primes = 1 (mod 3) divide d
-    if g.w >= 2:
+        detail = "w = 0 forces C_k3 = C x C"
+    elif code is ReasonCode.MULTIPLE_SPLIT_PRIMES:
         trace.append(
             f"w = {g.w} primes = 1 (mod 3) divide d; type (9, 3) would make"
             " the cubic 3-class group cyclic of order 9, whose Hilbert"
             " 3-class field has a single degree-3 step over the cubic field,"
             " yet the genus field would already contain two distinct ones"
         )
-        return verdict(
-            FormClass.OTHER,
-            VerdictStatus.EXCLUDED,
-            (
-                Reason(
-                    ReasonCode.MULTIPLE_SPLIT_PRIMES,
-                    f"w = {g.w} >= 2 contradicts a cyclic Z/9 cubic 3-class group",
-                ),
-            ),
+        detail = f"w = {g.w} >= 2 contradicts a cyclic Z/9 cubic 3-class group"
+    elif code is None:
+        trace.append(
+            f"d = {_form_string(g)} with {p} = 1 (mod 9): the one"
+            " admissible shape; certification needs the exact 3-part of"
+            " the cubic class number and the unit index"
         )
-
-    # exactly one p = 1 (mod 3) from here on
-    p, _ = g.split_primes[0]
-
-    if g.J == 0 and g.e == 0:
-        if p % 9 == 1:
-            trace.append(
-                f"d = {_form_string(g)} with {p} = 1 (mod 9): the one"
-                " admissible shape; certification needs the exact 3-part of"
-                " the cubic class number and the unit index"
-            )
-            return verdict(FormClass.P_1MOD9, VerdictStatus.CANDIDATE_NEEDS_DATA)
+    elif code is ReasonCode.CUBIC_SYMBOL_CONJECTURE:
+        # the symbol only explains the outcome and names the predicted shape
         symbol = rational_cubic_symbol(3, p)
         if symbol is CubicCharacterValue.ONE:
             predicted = ClassGroupShape.of(3, 3)
@@ -391,78 +376,37 @@ def _necessary_form(g: GerthForm) -> Verdict:
                 " the conjectural classification then gives C_k3 = Z/3,"
                 " not (9, 3)"
             )
-        return verdict(
-            FormClass.P_47MOD9,
-            VerdictStatus.EXCLUDED,
-            (
-                Reason(
-                    ReasonCode.CUBIC_SYMBOL_CONJECTURE,
-                    f"(3/{p})_3 = {symbol.value}: predicted shape {predicted}",
-                    conjectural=True,
-                ),
-            ),
-            predicted=predicted,
-            symbol=symbol,
+        detail = f"(3/{p})_3 = {symbol.value}: predicted shape {predicted}"
+    elif code is ReasonCode.THREE_TIMES_SPLIT_RANK:
+        trace.append(
+            f"3 and {p} = 1 (mod 9) ramify: t = {t} primes of k0"
+            " (lam and the two above p), all non-lam ones 1 mod lam^3,"
+            f" so q* = 1 and the ambiguous rank is {sigma_rank};"
+            " type (9, 3) needs ambiguous rank 1"
         )
-
-    if g.J == 0 and g.e > 0:
-        if p % 9 == 1:
-            trace.append(
-                f"3 and {p} = 1 (mod 9) ramify: t = {t} primes of k0"
-                " (lam and the two above p), all non-lam ones 1 mod lam^3,"
-                f" so q* = 1 and the ambiguous rank is {sigma_rank};"
-                " type (9, 3) needs ambiguous rank 1"
-            )
-            return verdict(
-                FormClass.THREE_P_1MOD9,
-                VerdictStatus.EXCLUDED,
-                (
-                    Reason(
-                        ReasonCode.THREE_TIMES_SPLIT_RANK,
-                        f"t = {t}, q* = 1, ambiguous rank"
-                        f" {sigma_rank} != 1",
-                    ),
-                ),
-            )
+        detail = (
+            f"t = {t}, q* = 1, ambiguous rank"
+            f" {sigma_rank} != 1"
+        )
+    elif code is ReasonCode.THREE_TIMES_NONRESIDUE_CYCLIC:
+        predicted = ClassGroupShape.of(3)
         trace.append(
             f"d = {_form_string(g)} with {p} = 4 or 7 (mod 9): for this shape"
             " the sextic 3-class group is cyclic of order 3, not (9, 3)"
         )
-        return verdict(
-            FormClass.THREE_P_47MOD9,
-            VerdictStatus.EXCLUDED,
-            (
-                Reason(
-                    ReasonCode.THREE_TIMES_NONRESIDUE_CYCLIC,
-                    "C_k3 is cyclic of order 3 for 3^e * p^e1 with"
-                    " p = 4 or 7 (mod 9)",
-                ),
-            ),
-            predicted=ClassGroupShape.of(3),
+        detail = (
+            "C_k3 is cyclic of order 3 for 3^e * p^e1 with"
+            " p = 4 or 7 (mod 9)"
         )
-
-    # J >= 1: mixed split/inert forms
-    q, _ = g.inert_primes[0]
-    if g.J == 1 and g.e == 0 and d % 9 in (1, 8) and p % 9 == 1 and q % 9 == 8:
+    elif code is ReasonCode.SPLIT_INERT_RANK:
         trace.append(
             f"d = +-1 (mod 9) keeps 3 unramified; {p} splits and {q} stays"
             f" inert, so t = {t}; p = 1 (mod 9) and q = 8 (mod 9) put"
             " every ramified prime of k0 at 1 mod lam^3, so q* = 1 and the"
             f" ambiguous rank is {sigma_rank}; type (9, 3) needs rank 1"
         )
-        return verdict(
-            FormClass.PQ_1MOD9,
-            VerdictStatus.EXCLUDED,
-            (
-                Reason(
-                    ReasonCode.SPLIT_INERT_RANK,
-                    f"t = {t}, q* = 1, ambiguous rank {sigma_rank} != 1",
-                ),
-            ),
-        )
-
-    two_w_plus_j = 2 * g.w + g.J
-    if two_w_plus_j > 3:
+        detail = f"t = {t}, q* = 1, ambiguous rank {sigma_rank} != 1"
+    elif (two_w_plus_j := 2 * g.w + g.J) > 3:
         trace.append(
             f"2w + J = {two_w_plus_j} > 3, but an ambiguous rank of 1 allows"
             f" only 2w + J in {{1, 2, 3}}; here t = {t} >= 4 already"
@@ -487,10 +431,21 @@ def _necessary_form(g: GerthForm) -> Verdict:
             f"residues (p, q) = ({p % 9}, {q % 9}) (mod 9) outside the"
             " admissible two-prime form"
         )
-    return verdict(
-        FormClass.OTHER,
-        VerdictStatus.EXCLUDED,
-        (Reason(ReasonCode.RANK_CASE_EXHAUSTION, detail),),
+
+    conjectural = code is ReasonCode.CUBIC_SYMBOL_CONJECTURE
+    return Verdict(
+        input_d=d,
+        d=g.canonical,
+        form=_FORM_OF[code],
+        status=VerdictStatus.CANDIDATE_NEEDS_DATA if code is None else VerdictStatus.EXCLUDED,
+        reasons=() if code is None else (Reason(code, detail, conjectural),),
+        trace=tuple(trace),
+        decomposition=g,
+        t=t,
+        q_star=q_star,
+        sigma_rank=sigma_rank,
+        predicted_class_group=predicted,
+        symbol_three=symbol,
     )
 
 

@@ -185,9 +185,12 @@ def reproduce_table(
     Rows come from fixtures_path, or from the bundled table when it is None.
     Without a cas_config each row's own (h_gamma3, u) is fed back in; with
     one, the external CAS recomputes them first.  A missing CAS executable
-    yields a skipped report, never an exception.
+    yields a skipped report, never an exception.  A fixture file without
+    rows raises FixtureError: "0/0 rows certified" would certify nothing.
     """
     rows = load_bundled_fixtures() if fixtures_path is None else load_fixtures(fixtures_path)
+    if not rows:
+        raise FixtureError(f"fixture file {fixtures_path} holds no rows")
     results: list[TableRowResult] = []
     for row in rows:
         if cas_config is not None:

@@ -6,12 +6,14 @@ from math import isqrt
 
 import pytest
 
+import cubic93.classifier
 import cubic93.ramification
 from cubic93.classifier import (
     ClassGroupShape,
     FormClass,
     ReasonCode,
     VerdictStatus,
+    _decide,
     classify,
     hk_from_hgamma,
     necessary_form,
@@ -254,6 +256,25 @@ def test_reason_consistency_invariants():
             assert v.reasons[0].conjectural
         else:
             assert not v.reasons[0].conjectural
+
+
+def test_decision_is_a_function_of_the_mod9_counts(monkeypatch):
+    # _decide must not need a prime: the P_47MOD9 symbol only explains its outcome
+    def no_symbol(a: int, p: int) -> None:
+        raise AssertionError(f"_decide evaluated a cubic residue symbol at p = {p}")
+
+    verdicts = scan(20_000)
+    monkeypatch.setattr(cubic93.classifier, "rational_cubic_symbol", no_symbol)
+    by_signature: dict[tuple, set] = {}
+    for v in verdicts:
+        g = v.decomposition
+        code = v.reasons[0].code if v.reasons else None
+        assert _decide(g) is code, v.input_d
+        signature = (g.v, g.w, g.I, g.J, g.e, g.d % 9)
+        by_signature.setdefault(signature, set()).add((v.form, v.status, code))
+    assert len(verdicts) == 16_638
+    mixed = {sig: outcomes for sig, outcomes in by_signature.items() if len(outcomes) > 1}
+    assert not mixed
 
 
 # --------------------------------------------------------------------- classify

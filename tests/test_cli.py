@@ -143,6 +143,17 @@ def test_table_fixture_path_that_is_no_file_is_data_error(capsys, path):
     assert err == f"error: fixture path {path!r} is not a file\n"
 
 
+@pytest.mark.parametrize("text", ["", "\n  \n\n"], ids=["zero-byte", "blank-lines"])
+def test_table_fixture_without_rows_is_data_error(tmp_path: Path, capsys, text):
+    # no rows must not read as "0/0 rows certified" with exit 0
+    path = tmp_path / "empty.jsonl"
+    path.write_text(text)
+    code, out, err = run(capsys, "table", "--fixtures", str(path))
+    assert code == 2
+    assert out == ""
+    assert err == f"error: fixture file {path} holds no rows\n"
+
+
 def test_table_cas_missing_is_notice_not_failure(capsys):
     code, out, _ = run(capsys, "table", "--cas", "/nonexistent/gp-binary -q")
     assert code == 0

@@ -391,6 +391,19 @@ def test_character_value_group_law():
 # ---------------------------------------------------------- rational symbol
 
 
+def test_omega_is_a_cube_exactly_at_norms_one_mod_nine():
+    # (w/pi)_3 = w^((N pi - 1)/3), which is 1 exactly when N pi = 1 (mod 9)
+    count = 0
+    for p in range(5, 20_000):
+        if factorize(p) != {p: 1}:
+            continue
+        for pi in factor_rational_prime(p).factors:
+            is_one = cubic_character(OMEGA, pi) is CubicCharacterValue.ONE
+            assert is_one == (pi.norm() % 9 == 1), (p, pi)
+            count += 1
+    assert count == 3384
+
+
 def test_symbol_paper_residue_facts():
     for p in (61, 67, 103, 151):
         assert rational_cubic_symbol(3, p) is CubicCharacterValue.ONE
