@@ -455,7 +455,7 @@ class EisensteinFactorization:
 def factor(z: EisensteinInt) -> EisensteinFactorization:
     """Factor z != 0 into a unit and prime powers.
 
-    Strategy: factor N(z) over Z by trial division, lift each rational prime
+    Strategy: factor N(z) over Z (N(z) < 3.3e24), lift each rational prime
     through factor_rational_prime and divide out, testing divisibility in
     the residue field of each prime.  Deterministic, with the factors
     ordered by the underlying rational prime.

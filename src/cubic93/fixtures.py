@@ -72,7 +72,11 @@ def _parse_row(record: dict, where: str) -> FixtureRow:
         raise FixtureError(f"{where}: {exc}") from exc
     p_squared = _integer(record.get("p_squared", p * p), "p_squared", where)
     p_mod9 = _integer(record.get("p_mod9", p % 9), "p_mod9", where)
-    if not is_prime(p):
+    try:
+        prime = is_prime(p)
+    except ValueError as exc:  # p above the range where primality is proven
+        raise FixtureError(f"{where}: {exc}") from exc
+    if not prime:
         raise FixtureError(f"{where}: p = {p} is not prime")
     if u not in (1, 3):
         raise FixtureError(f"{where}: u = {u} is not 1 or 3")

@@ -242,3 +242,30 @@ def test_commands_factor_the_radicand_once(capsys, factorize_calls, argv):
     code, _, _ = run(capsys, *argv)
     assert code == 0
     assert factorize_calls == [int(argv[1])]
+
+
+#: 10^30 + 57 is prime and lies above 3.3e24, where primality is not proven
+PRIME_ABOVE_RANGE = str(10**30 + 57)
+
+
+@pytest.mark.parametrize("argv, want", [
+    (["classify", "100000000000000000039"], 0),  # a prime near 1e20
+    (["classify", PRIME_ABOVE_RANGE], 1),
+    (["symbol", "2", PRIME_ABOVE_RANGE], 1),
+    (["genus", "1000000000039"], 1),  # its period check tests numbers near 7e34
+], ids=["classify-1e20", "classify-1e30", "symbol-1e30", "genus-1e12"])
+def test_large_inputs_finish_or_name_the_bound(argv, want):
+    # a generous timeout rather than a wall-clock assert, as hosts are noisy;
+    # trial division ran for hours on each of these
+    proc = subprocess.run(
+        [sys.executable, "-m", "cubic93.cli", *argv],
+        env=subprocess_env(),
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert proc.returncode == want, proc.stderr
+    assert "Traceback" not in proc.stderr, proc.stderr
+    if want:
+        (line,) = proc.stderr.splitlines()
+        assert line.startswith("error: ") and "3.3e24" in line, line

@@ -1,7 +1,7 @@
 """Normalization and mod-9 decomposition of radicands.
 
 The exhaustive checks use their own smallest-prime-factor sieve as the
-factorization oracle, independent of the library's trial division.
+factorization oracle, independent of the library's factorize.
 """
 
 from __future__ import annotations
