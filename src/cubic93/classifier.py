@@ -143,26 +143,18 @@ def type93_equivalence(
     if direction == "backward":
         if c_gamma is None or u is None:
             raise ValueError("backward direction needs c_gamma and u")
-        if c_gamma == CYCLIC_9 and u == 1:
-            return EquivalenceResult(
-                applicable=True,
-                consistent=True,
-                c_k=TYPE_9_3,
-                c_gamma=c_gamma,
-                u=u,
-                trace=(
-                    "|C_k3| = (1/3) * 9^2 = 27",
-                    "C_k3 = C_gamma3 x C^- with |C^-| = 3",
-                    "hence C_k3 = Z/9 x Z/3",
-                ),
-            )
+        certified = c_gamma == CYCLIC_9 and u == 1
         return EquivalenceResult(
             applicable=True,
             consistent=True,
-            c_k=None,
+            c_k=TYPE_9_3 if certified else None,
             c_gamma=c_gamma,
             u=u,
             trace=(
+                "|C_k3| = (1/3) * 9^2 = 27",
+                "C_k3 = C_gamma3 x C^- with |C^-| = 3",
+                "hence C_k3 = Z/9 x Z/3",
+            ) if certified else (
                 f"(c_gamma, u) = ({c_gamma}, {u}) does not satisfy"
                 " (Z/9, 1), so the sextic 3-class group is not of type (9, 3)",
             ),
@@ -470,37 +462,23 @@ def classify(d: int, h_gamma3: int | None = None, u: int | None = None) -> Verdi
 
     form = normalize(d)
     v = _necessary_form(form)
-    if form.d != d:
-        v = replace(
-            v,
-            input_d=d,
-            trace=(f"stripped a cube factor: {d} defines the same field as {form.d}",)
-            + v.trace,
-        )
-
     h_k3 = hk_from_hgamma(h_gamma3, u) if (h_gamma3 is not None and u is not None) else None
 
-    if v.status is VerdictStatus.CANDIDATE_NEEDS_DATA:
-        if h_gamma3 == 9 and u == 1:
-            trace = v.trace + (
-                "h_gamma3 = 9 and u = 1: h_k3 = (1/3) * 81 = 27, exactly"
-                " divisible by 27",
-                "9 exactly divides the cubic class number, so the sextic"
-                " 3-class group has rank 2 (Calegari-Emerton criterion)",
-                "a rank-2 group of order 27 containing a cyclic part of"
-                " order 9 is Z/9 x Z/3: certified type (9, 3)",
-            )
-            return replace(
-                v,
-                status=VerdictStatus.CERTIFIED_9_3,
-                trace=trace,
-                h_gamma3=h_gamma3,
-                u=u,
-                h_k3=27,
-                class_group=TYPE_9_3,
-            )
-        reasons: list[Reason] = []
-        trace_add: list[str] = []
+    status, reasons, class_group = v.status, list(v.reasons), None
+    trace = list(v.trace)
+    if form.d != d:
+        trace.insert(0, f"stripped a cube factor: {d} defines the same field as {form.d}")
+    if v.status is VerdictStatus.CANDIDATE_NEEDS_DATA and h_gamma3 == 9 and u == 1:
+        status, class_group = VerdictStatus.CERTIFIED_9_3, TYPE_9_3
+        trace += [
+            "h_gamma3 = 9 and u = 1: h_k3 = (1/3) * 81 = 27, exactly"
+            " divisible by 27",
+            "9 exactly divides the cubic class number, so the sextic"
+            " 3-class group has rank 2 (Calegari-Emerton criterion)",
+            "a rank-2 group of order 27 containing a cyclic part of"
+            " order 9 is Z/9 x Z/3: certified type (9, 3)",
+        ]
+    elif v.status is VerdictStatus.CANDIDATE_NEEDS_DATA:
         if h_gamma3 is not None and h_gamma3 != 9:
             reasons.append(
                 Reason(
@@ -509,7 +487,7 @@ def classify(d: int, h_gamma3: int | None = None, u: int | None = None) -> Verdi
                     " cannot be cyclic of order 9",
                 )
             )
-            trace_add.append(
+            trace.append(
                 f"supplied h_gamma3 = {h_gamma3}: type (9, 3) requires the"
                 " cubic 3-class group Z/9, impossible here"
             )
@@ -521,45 +499,37 @@ def classify(d: int, h_gamma3: int | None = None, u: int | None = None) -> Verdi
                     " 27 exactly dividing h_k3 is required",
                 )
             )
-            trace_add.append(
+            trace.append(
                 "supplied u = 3: h_k3 = (3/3) * h_gamma3^2 would be a"
                 " perfect square, but type (9, 3) makes h_k3 = 27"
             )
         if reasons:
-            return replace(
-                v,
-                status=VerdictStatus.EXCLUDED,
-                reasons=tuple(reasons),
-                trace=v.trace + tuple(trace_add),
-                h_gamma3=h_gamma3,
-                u=u,
-                h_k3=h_k3,
-            )
-        missing = []
-        if h_gamma3 is None:
-            missing.append("the exact 3-part of the cubic class number")
-        if u is None:
-            missing.append("the unit index u")
-        return replace(
-            v,
-            trace=v.trace + (f"still needed: {', '.join(missing)}",),
-            h_gamma3=h_gamma3,
-            u=u,
-            h_k3=h_k3,
-        )
-
-    # already excluded on form grounds; fold in any supplied data as a note
-    if h_k3 is not None and v.predicted_class_group is not None:
+            status = VerdictStatus.EXCLUDED
+        else:
+            missing = []
+            if h_gamma3 is None:
+                missing.append("the exact 3-part of the cubic class number")
+            if u is None:
+                missing.append("the unit index u")
+            trace.append(f"still needed: {', '.join(missing)}")
+    elif h_k3 is not None and v.predicted_class_group is not None:
+        # already excluded on form grounds; fold in any supplied data as a note
         match = "matches" if v.predicted_class_group.order == h_k3 else "conflicts with"
-        v = replace(
-            v,
-            trace=v.trace
-            + (
-                f"supplied data give h_k3 = {h_k3}, which {match} the"
-                f" predicted shape {v.predicted_class_group}",
-            ),
+        trace.append(
+            f"supplied data give h_k3 = {h_k3}, which {match} the"
+            f" predicted shape {v.predicted_class_group}"
         )
-    return replace(v, h_gamma3=h_gamma3, u=u, h_k3=h_k3)
+    return replace(
+        v,
+        input_d=d,
+        status=status,
+        reasons=tuple(reasons),
+        trace=tuple(trace),
+        h_gamma3=h_gamma3,
+        u=u,
+        h_k3=h_k3,
+        class_group=class_group,
+    )
 
 
 def scan(max_d: int) -> list[Verdict]:

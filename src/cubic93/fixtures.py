@@ -78,8 +78,6 @@ def _parse_row(record: dict, where: str) -> FixtureRow:
         raise FixtureError(f"{where}: {exc}") from exc
     if not prime:
         raise FixtureError(f"{where}: p = {p} is not prime")
-    if u not in (1, 3):
-        raise FixtureError(f"{where}: u = {u} is not 1 or 3")
     try:
         expected_hk = hk_from_hgamma(h_gamma3, u)
     except ValueError as exc:

@@ -85,8 +85,15 @@ def _verify_periods(p: int, coeffs: Cubic) -> None:
     """
     bound = 2 * max((1 + (p - 1) // 3) ** 3, *(abs(c) for c in coeffs))
     k = bound // p + 1
-    while not is_prime(k * p + 1):
-        k += 1
+    try:
+        while not is_prime(k * p + 1):
+            k += 1
+    except ValueError as exc:  # ell left the range where primality is proven
+        raise ValueError(
+            f"cannot check the periods of p = {p}: the check needs a prime"
+            " near 2(p/3)^3, and primality is proven only below 3.3e24,"
+            " so for p below about 3.55e8"
+        ) from exc
     ell = k * p + 1
     a = 2
     while (zeta := pow(a, k, ell)) == 1:

@@ -144,13 +144,8 @@ def normalize(n: int) -> GerthForm:
 
 def gerth_decompose(d: int) -> GerthForm:
     """Decompose a cube-free d >= 2 into the mod-9 residue classes."""
-    if d < 2:
-        raise ValueError(f"radicand must be >= 2, got {d}")
-    try:
-        form = normalize(d)
-    except ValueError:  # d is a perfect cube
-        form = None
-    if form is None or form.d != d:
+    form = normalize(d)
+    if form.d != d:
         raise ValueError(f"{d} is not cube-free")
     return form
 

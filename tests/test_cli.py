@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import contextlib
+import io
 import json
 import os
 import subprocess
@@ -9,8 +11,11 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import cubic93
+from cubic93._intmath import _MR_LIMIT
 from cubic93.cli import main
 
 
@@ -269,3 +274,38 @@ def test_large_inputs_finish_or_name_the_bound(argv, want):
     if want:
         (line,) = proc.stderr.splitlines()
         assert line.startswith("error: ") and "3.3e24" in line, line
+
+
+#: integers of every size plus the values where the arithmetic changes regime
+_NUMBER = st.one_of(
+    st.integers(-(10**40), 10**40),
+    st.sampled_from([0, 1, 2, 8, 27, _MR_LIMIT - 1, _MR_LIMIT + 1, 10**30 + 57]),
+).map(str)
+_WORD = st.one_of(_NUMBER, st.text(max_size=8))
+
+
+@st.composite
+def _argv(draw) -> list[str]:
+    """argv for the commands whose cost is bounded by the size of d alone."""
+    # genus, scan and table are left out: their time grows with p and N
+    junk = st.text(max_size=8).filter(lambda w: w not in ("genus", "scan", "table"))
+    command = draw(st.one_of(st.sampled_from(["classify", "decompose", "ramify", "symbol"]), junk))
+    argv = [command] + draw(st.lists(_WORD, min_size=1, max_size=2))
+    if command == "classify":
+        if draw(st.booleans()):
+            argv += ["--h3", str(draw(st.sampled_from([1, 2, 3, 9, 27])))]
+        if draw(st.booleans()):
+            argv += ["--u", str(draw(st.sampled_from([1, 3])))]
+    return argv
+
+
+@settings(max_examples=200, deadline=None)
+@given(_argv())
+def test_any_argv_ends_in_a_documented_exit_code(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+    assert code in (0, 1, 2), (argv, err.getvalue())

@@ -81,6 +81,10 @@ def test_load_rejects_malformed_lines_with_line_numbers(tmp_path: Path):
                                 "c_gamma": [9], "c_k": [9, 3]}) + "\n")
     with pytest.raises(FixtureError, match=r"line 1: .*3\.3e24"):
         load_fixtures(path)
+    path.write_text(good + "\n" + json.dumps({"p": 199, "h_gamma3": 9, "h_k3": 54, "u": 2,
+                                              "c_gamma": [9], "c_k": [9, 3]}) + "\n")
+    with pytest.raises(FixtureError, match="line 2: unit index must be 1 or 3, got 2"):
+        load_fixtures(path)
 
 
 def test_load_checks_optional_derived_fields(tmp_path: Path):

@@ -147,6 +147,13 @@ def test_period_polynomial_large_primes(p):
     assert cubic_disc(*coeffs[1:]) == p * p * big_m * big_m
 
 
+@pytest.mark.parametrize("p", [355_300_063, 1_000_000_000_039])
+def test_period_check_beyond_the_bound_names_p(p):
+    # the check needs a prime ell near 2(p/3)^3, above 3.3e24 for these p
+    with pytest.raises(ValueError, match=rf"p = {p}\b.*3\.3e24"):
+        period_polynomial(p)
+
+
 def perturbed(coeffs: tuple[int, int, int, int]) -> list[tuple[int, int, int, int]]:
     one, c2, c1, c0 = coeffs
     return [

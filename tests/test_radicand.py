@@ -8,7 +8,10 @@ from __future__ import annotations
 
 import pytest
 
+from cubic93.classifier import necessary_form
+from cubic93.genus import genus_field_description, genus_number
 from cubic93.radicand import cube_free_sieve, gerth_decompose, normalize
+from cubic93.ramification import ramify
 
 LIMIT = 100_000
 
@@ -105,6 +108,23 @@ def test_decompose_rejects_non_cube_free():
             gerth_decompose(bad)
     with pytest.raises(ValueError):
         gerth_decompose(1)
+    with pytest.raises(ValueError, match="not cube-free"):
+        gerth_decompose(24)
+
+
+#: 10^30 + 57 is a cube-free prime above 3.3e24, where primality is not proven
+PRIME_ABOVE_RANGE = 10**30 + 57
+
+
+@pytest.mark.parametrize("call", [
+    necessary_form,
+    ramify,
+    genus_number,
+    lambda d: genus_field_description(d, h_gamma3_exactly9=True),
+], ids=["necessary_form", "ramify", "genus_number", "genus_field_description"])
+def test_decompose_beyond_the_bound_names_it_not_cube_freeness(call):
+    with pytest.raises(ValueError, match=r"3\.3e24"):
+        call(PRIME_ABOVE_RANGE)
 
 
 def test_decompose_exhaustive_against_sieve():
