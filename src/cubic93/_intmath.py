@@ -35,12 +35,12 @@ _MR_TIERS = (
 )
 #: is_prime is proven below this bound and nowhere above it
 _MR_LIMIT = _MR_TIERS[-1][0]
-#: factorize trial-divides by the primes below this bound only.  It must
-#: exceed sqrt(30 000) so that no scan(30 000) radicand needs Miller-Rabin or
-#: rho.  Between 180 and 1000 a larger bound made factorize faster on the
-#: classify benchmark's d up to 1e8 and slower on d <= 30 000, by at most
-#: about 2 us per call either way (CPython 3.11, 2-vCPU Xeon); 300 splits
-#: the difference
+#: factorize trial-divides by the primes below this bound only, which
+#: factors every n below 300^2 = 90 000 without Miller-Rabin or rho.  On
+#: classify, between 180 and 1000 a larger bound made factorize faster for
+#: d up to 1e8 and slower for d <= 30 000, by at most about 2 us per call
+#: either way (CPython 3.11, 2-vCPU Xeon); 300 splits the difference.  scan
+#: factors nothing (a block sieve gives its forms), so it does not enter here
 _TRIAL_BOUND = 300
 _SMALL_PRIMES = tuple(
     p for p in range(2, _TRIAL_BOUND) if all(p % f for f in range(2, isqrt(p) + 1))

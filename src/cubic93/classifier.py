@@ -4,7 +4,9 @@ can be, or certainly is, of type (9, 3).
 The necessary-form analysis is purely arithmetic: it eliminates every shape
 of d except d = p^e with p = 1 (mod 9).  The outcome is decided first, from
 the mod-9 counts of d alone, by the first exclusion argument that applies in
-a fixed order; a human-readable trace of it is rendered after.
+a fixed order; a human-readable trace of it is rendered after.  A few hundred
+count signatures cover every radicand, so each is decided, and the trace
+text that names no prime rendered, once per signature.
 
 Certification needs two external inputs that the library never computes
 itself, the exact 3-part h of the class number of the cubic field and the
@@ -19,13 +21,15 @@ residue symbol (3/p)_3, while every other branch is theorem-backed.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, replace
 from enum import Enum
+from typing import NamedTuple
 
 from ._intmath import three_part
 from .eisenstein import CubicCharacterValue, rational_cubic_symbol
-from .radicand import GerthForm, cube_free_sieve, gerth_decompose, normalize
+from .radicand import GerthForm, _cube_free_forms, gerth_decompose, normalize
 from .ramification import QStar, _ambiguous_rank
 
 
@@ -64,6 +68,8 @@ class ClassGroupShape:
 
 TYPE_9_3 = ClassGroupShape.of(9, 3)
 CYCLIC_9 = ClassGroupShape.of(9)
+_CYCLIC_3 = ClassGroupShape.of(3)
+_ELEMENTARY_3_3 = ClassGroupShape.of(3, 3)
 
 
 def hk_from_hgamma(h_gamma: int, u: int) -> int:
@@ -293,148 +299,198 @@ _FORM_OF: dict[ReasonCode | None, FormClass] = {
 }
 
 
+class _Decision(NamedTuple):
+    """What a signature decides, with the trace text that names no prime."""
+
+    code: ReasonCode | None
+    form: FormClass
+    status: VerdictStatus
+    t: int
+    q_star: QStar
+    sigma_rank: int | None
+    counts: str  # the "counts:" trace line
+    # the code's trace line and reasons, for the codes whose text names no prime
+    line: str | None
+    reasons: tuple[Reason, ...]
+
+
+def _signature(g: GerthForm) -> tuple[int, ...]:
+    """(v, w, I, J, e, d % 9, p % 9, q % 9), with p and q the first split
+    and inert primes (0 where there is none): all that a verdict's outcome,
+    and the text of one that names no prime, depend on."""
+    split, inert = g.split_primes, g.inert_primes
+    return (
+        len(g.class1mod9), len(split), len(g.class8mod9), len(inert), g.e, g.d % 9,
+        split[0][0] % 9 if split else 0, inert[0][0] % 9 if inert else 0,
+    )
+
+
 def _decide(g: GerthForm) -> ReasonCode | None:
-    """The first exclusion that applies to d, or None for the candidate shape.
+    """The first exclusion that applies to d, or None for the candidate shape."""
+    return _decision(_signature(g)).code
 
-    Reads only the counts v, w, I, J, e and d mod 9, never a prime.
+
+@functools.lru_cache(maxsize=None)
+def _decision(sig: tuple[int, ...]) -> _Decision:
+    """Decide a signature once: the first exclusion that applies, or None.
+
+    The outcome reads only the counts v, w, I, J, e and d mod 9, never a
+    prime; p and q mod 9 enter only the text of RANK_CASE_EXHAUSTION.
     """
+    v, w, I, J, e, d9, p9, q9 = sig  # noqa: E741
     # (a) no prime = 1 (mod 3) divides d; (b) two or more do
-    if g.w == 0:
-        return ReasonCode.NO_SPLIT_PRIME
-    if g.w >= 2:
-        return ReasonCode.MULTIPLE_SPLIT_PRIMES
+    if w == 0:
+        code = ReasonCode.NO_SPLIT_PRIME
+    elif w >= 2:
+        code = ReasonCode.MULTIPLE_SPLIT_PRIMES
     # exactly one p = 1 (mod 3) from here on, so p = 1 (mod 9) reads v == 1
-    if g.J == 0 and g.e == 0:
-        return None if g.v == 1 else ReasonCode.CUBIC_SYMBOL_CONJECTURE
-    if g.J == 0:
-        if g.v == 1:
-            return ReasonCode.THREE_TIMES_SPLIT_RANK
-        return ReasonCode.THREE_TIMES_NONRESIDUE_CYCLIC
+    elif J == 0 and e == 0:
+        code = None if v == 1 else ReasonCode.CUBIC_SYMBOL_CONJECTURE
+    elif J == 0:
+        code = (
+            ReasonCode.THREE_TIMES_SPLIT_RANK if v == 1
+            else ReasonCode.THREE_TIMES_NONRESIDUE_CYCLIC
+        )
     # J >= 1: mixed split/inert forms; with J == 1, q = 8 (mod 9) reads I == 1
-    if g.J == 1 and g.e == 0 and g.d % 9 in (1, 8) and g.v == 1 and g.I == 1:
-        return ReasonCode.SPLIT_INERT_RANK
-    return ReasonCode.RANK_CASE_EXHAUSTION
+    elif J == 1 and e == 0 and d9 in (1, 8) and v == 1 and I == 1:
+        code = ReasonCode.SPLIT_INERT_RANK
+    else:
+        code = ReasonCode.RANK_CASE_EXHAUSTION
+    _, t, q_star, sigma_rank = _ambiguous_rank(v, w, I, J, e, d9)
 
-
-def _necessary_form(g: GerthForm) -> Verdict:
-    d = g.d
-    code = _decide(g)
-    _, t, q_star, sigma_rank = _ambiguous_rank(g)
-    trace = [
-        f"d = {d} = {_form_string(g)}",
-        f"counts: v = {g.v}, w = {g.w}, I = {g.I}, J = {g.J}, e = {g.e};"
-        f" d = {d % 9} (mod 9)",
-    ]
-    # the first split and inert primes, where there are any, are p and q
-    p = g.split_primes[0][0] if g.w else None
-    q = g.inert_primes[0][0] if g.J else None
-    predicted: ClassGroupShape | None = None
-    symbol: CubicCharacterValue | None = None
-
+    line = detail = None
     if code is ReasonCode.NO_SPLIT_PRIME:
-        trace.append(
+        line = (
             "no prime = 1 (mod 3) divides d, so the sextic 3-class group is"
             " the square C x C of the cubic one; its order is an even power"
             " of 3 and can never be 27"
         )
         detail = "w = 0 forces C_k3 = C x C"
     elif code is ReasonCode.MULTIPLE_SPLIT_PRIMES:
-        trace.append(
-            f"w = {g.w} primes = 1 (mod 3) divide d; type (9, 3) would make"
+        line = (
+            f"w = {w} primes = 1 (mod 3) divide d; type (9, 3) would make"
             " the cubic 3-class group cyclic of order 9, whose Hilbert"
             " 3-class field has a single degree-3 step over the cubic field,"
             " yet the genus field would already contain two distinct ones"
         )
-        detail = f"w = {g.w} >= 2 contradicts a cyclic Z/9 cubic 3-class group"
-    elif code is None:
-        trace.append(
-            f"d = {_form_string(g)} with {p} = 1 (mod 9): the one"
-            " admissible shape; certification needs the exact 3-part of"
-            " the cubic class number and the unit index"
-        )
-    elif code is ReasonCode.CUBIC_SYMBOL_CONJECTURE:
-        # the symbol only explains the outcome and names the predicted shape
-        symbol = rational_cubic_symbol(3, p)
-        if symbol is CubicCharacterValue.ONE:
-            predicted = ClassGroupShape.of(3, 3)
-            trace.append(
-                f"(3/{p})_3 = 1, and for p = 4 or 7 (mod 9) the conjectural"
-                " classification then gives C_k3 = Z/3 x Z/3, not (9, 3)"
+        detail = f"w = {w} >= 2 contradicts a cyclic Z/9 cubic 3-class group"
+    elif code is ReasonCode.RANK_CASE_EXHAUSTION:
+        if 2 * w + J > 3:
+            line = (
+                f"2w + J = {2 * w + J} > 3, but an ambiguous rank of 1 allows"
+                f" only 2w + J in {{1, 2, 3}}; here t = {t} >= 4 already"
+                " forces ambiguous rank >= 2"
             )
+            detail = f"2w + J = {2 * w + J} outside {{1, 2, 3}}; t = {t}"
+        elif d9 not in (1, 8):
+            line = (
+                f"d != +-1 (mod 9), so 3 ramifies as well: t = {t} >= 4"
+                " primes of k0 ramify, forcing ambiguous rank >= 2; type (9, 3)"
+                " needs rank 1"
+            )
+            detail = f"t = {t} >= 4 forces ambiguous rank >= 2"
         else:
-            predicted = ClassGroupShape.of(3)
-            trace.append(
-                f"(3/{p})_3 = {symbol.value} != 1, and for p = 4 or 7 (mod 9)"
-                " the conjectural classification then gives C_k3 = Z/3,"
-                " not (9, 3)"
+            line = (
+                f"d = +-1 (mod 9) with one split and one inert prime, but"
+                f" p = {p9} and q = {q9} (mod 9) instead of p = 1 and"
+                " q = 8: this residue pattern lies outside every admissible"
+                " shape of the classification"
             )
-        detail = f"(3/{p})_3 = {symbol.value}: predicted shape {predicted}"
-    elif code is ReasonCode.THREE_TIMES_SPLIT_RANK:
-        trace.append(
-            f"3 and {p} = 1 (mod 9) ramify: t = {t} primes of k0"
-            " (lam and the two above p), all non-lam ones 1 mod lam^3,"
-            f" so q* = 1 and the ambiguous rank is {sigma_rank};"
-            " type (9, 3) needs ambiguous rank 1"
-        )
-        detail = (
-            f"t = {t}, q* = 1, ambiguous rank"
-            f" {sigma_rank} != 1"
-        )
-    elif code is ReasonCode.THREE_TIMES_NONRESIDUE_CYCLIC:
-        predicted = ClassGroupShape.of(3)
-        trace.append(
-            f"d = {_form_string(g)} with {p} = 4 or 7 (mod 9): for this shape"
-            " the sextic 3-class group is cyclic of order 3, not (9, 3)"
-        )
-        detail = (
-            "C_k3 is cyclic of order 3 for 3^e * p^e1 with"
-            " p = 4 or 7 (mod 9)"
-        )
-    elif code is ReasonCode.SPLIT_INERT_RANK:
-        trace.append(
-            f"d = +-1 (mod 9) keeps 3 unramified; {p} splits and {q} stays"
-            f" inert, so t = {t}; p = 1 (mod 9) and q = 8 (mod 9) put"
-            " every ramified prime of k0 at 1 mod lam^3, so q* = 1 and the"
-            f" ambiguous rank is {sigma_rank}; type (9, 3) needs rank 1"
-        )
-        detail = f"t = {t}, q* = 1, ambiguous rank {sigma_rank} != 1"
-    elif (two_w_plus_j := 2 * g.w + g.J) > 3:
-        trace.append(
-            f"2w + J = {two_w_plus_j} > 3, but an ambiguous rank of 1 allows"
-            f" only 2w + J in {{1, 2, 3}}; here t = {t} >= 4 already"
-            " forces ambiguous rank >= 2"
-        )
-        detail = f"2w + J = {two_w_plus_j} outside {{1, 2, 3}}; t = {t}"
-    elif d % 9 not in (1, 8):
-        trace.append(
-            f"d != +-1 (mod 9), so 3 ramifies as well: t = {t} >= 4"
-            " primes of k0 ramify, forcing ambiguous rank >= 2; type (9, 3)"
-            " needs rank 1"
-        )
-        detail = f"t = {t} >= 4 forces ambiguous rank >= 2"
-    else:
-        trace.append(
-            f"d = +-1 (mod 9) with one split and one inert prime, but"
-            f" p = {p % 9} and q = {q % 9} (mod 9) instead of p = 1 and"
-            " q = 8: this residue pattern lies outside every admissible"
-            " shape of the classification"
-        )
-        detail = (
-            f"residues (p, q) = ({p % 9}, {q % 9}) (mod 9) outside the"
-            " admissible two-prime form"
-        )
-
-    conjectural = code is ReasonCode.CUBIC_SYMBOL_CONJECTURE
-    return Verdict(
-        input_d=d,
-        d=g.canonical,
+            detail = (
+                f"residues (p, q) = ({p9}, {q9}) (mod 9) outside the"
+                " admissible two-prime form"
+            )
+    return _Decision(
+        code=code,
         form=_FORM_OF[code],
         status=VerdictStatus.CANDIDATE_NEEDS_DATA if code is None else VerdictStatus.EXCLUDED,
-        reasons=() if code is None else (Reason(code, detail, conjectural),),
+        t=t,
+        q_star=q_star,
+        sigma_rank=sigma_rank,
+        counts=f"counts: v = {v}, w = {w}, I = {I}, J = {J}, e = {e}; d = {d9} (mod 9)",
+        line=line,
+        reasons=() if detail is None else (Reason(code, detail),),
+    )
+
+
+def _necessary_form(g: GerthForm) -> Verdict:
+    dec = _decision(_signature(g))
+    code, t, sigma_rank = dec.code, dec.t, dec.sigma_rank
+    form = _form_string(g)
+    trace = [f"d = {g.d} = {form}", dec.counts]
+    reasons = dec.reasons
+    predicted: ClassGroupShape | None = None
+    symbol: CubicCharacterValue | None = None
+
+    if dec.line is not None:
+        trace.append(dec.line)
+    else:
+        # every code left names p, the one split prime; SPLIT_INERT_RANK names q too
+        p = g.split_primes[0][0]
+        if code is None:
+            trace.append(
+                f"d = {form} with {p} = 1 (mod 9): the one"
+                " admissible shape; certification needs the exact 3-part of"
+                " the cubic class number and the unit index"
+            )
+        elif code is ReasonCode.CUBIC_SYMBOL_CONJECTURE:
+            # the symbol only explains the outcome and names the predicted shape
+            symbol = rational_cubic_symbol(3, p)
+            if symbol is CubicCharacterValue.ONE:
+                predicted = _ELEMENTARY_3_3
+                trace.append(
+                    f"(3/{p})_3 = 1, and for p = 4 or 7 (mod 9) the conjectural"
+                    " classification then gives C_k3 = Z/3 x Z/3, not (9, 3)"
+                )
+            else:
+                predicted = _CYCLIC_3
+                trace.append(
+                    f"(3/{p})_3 = {symbol.value} != 1, and for p = 4 or 7 (mod 9)"
+                    " the conjectural classification then gives C_k3 = Z/3,"
+                    " not (9, 3)"
+                )
+            detail = f"(3/{p})_3 = {symbol.value}: predicted shape {predicted}"
+        elif code is ReasonCode.THREE_TIMES_SPLIT_RANK:
+            trace.append(
+                f"3 and {p} = 1 (mod 9) ramify: t = {t} primes of k0"
+                " (lam and the two above p), all non-lam ones 1 mod lam^3,"
+                f" so q* = 1 and the ambiguous rank is {sigma_rank};"
+                " type (9, 3) needs ambiguous rank 1"
+            )
+            detail = f"t = {t}, q* = 1, ambiguous rank {sigma_rank} != 1"
+        elif code is ReasonCode.THREE_TIMES_NONRESIDUE_CYCLIC:
+            predicted = _CYCLIC_3
+            trace.append(
+                f"d = {form} with {p} = 4 or 7 (mod 9): for this shape"
+                " the sextic 3-class group is cyclic of order 3, not (9, 3)"
+            )
+            detail = (
+                "C_k3 is cyclic of order 3 for 3^e * p^e1 with"
+                " p = 4 or 7 (mod 9)"
+            )
+        else:  # SPLIT_INERT_RANK
+            q = g.inert_primes[0][0]
+            trace.append(
+                f"d = +-1 (mod 9) keeps 3 unramified; {p} splits and {q} stays"
+                f" inert, so t = {t}; p = 1 (mod 9) and q = 8 (mod 9) put"
+                " every ramified prime of k0 at 1 mod lam^3, so q* = 1 and the"
+                f" ambiguous rank is {sigma_rank}; type (9, 3) needs rank 1"
+            )
+            detail = f"t = {t}, q* = 1, ambiguous rank {sigma_rank} != 1"
+        if code is not None:
+            conjectural = code is ReasonCode.CUBIC_SYMBOL_CONJECTURE
+            reasons = (Reason(code, detail, conjectural),)
+
+    return Verdict(
+        input_d=g.d,
+        d=g.canonical,
+        form=dec.form,
+        status=dec.status,
+        reasons=reasons,
         trace=tuple(trace),
         decomposition=g,
         t=t,
-        q_star=q_star,
+        q_star=dec.q_star,
         sigma_rank=sigma_rank,
         predicted_class_group=predicted,
         symbol_three=symbol,
@@ -536,8 +592,7 @@ def scan(max_d: int) -> list[Verdict]:
     """Classify every cube-free radicand 2 <= d <= max_d (no external data).
 
     The candidate set is exactly {p, p^2 <= max_d : p prime, p = 1 (mod 9)}.
+    The radicands come from a block sieve, so none is factored; a max_d
+    outside [2, 10^8] raises ValueError.
     """
-    if max_d < 2:
-        raise ValueError(f"scan bound must be >= 2, got {max_d}")
-    flags = cube_free_sieve(max_d)
-    return [necessary_form(d) for d in range(2, max_d + 1) if flags[d]]
+    return [_necessary_form(g) for g in _cube_free_forms(max_d)]

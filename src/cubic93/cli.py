@@ -16,11 +16,11 @@ import shlex
 import sys
 
 from .cas import CasConfig, CasError
-from .classifier import Verdict, VerdictStatus, classify, scan
+from .classifier import Verdict, _decide, _necessary_form, classify
 from .eisenstein import rational_cubic_symbol
 from .fixtures import FixtureError, reproduce_table
 from .genus import _genus_from_form, format_cubic
-from .radicand import GerthForm, normalize
+from .radicand import GerthForm, _cube_free_forms, normalize
 from .ramification import _ramify_from_form
 
 USAGE_ERROR = 1
@@ -175,17 +175,21 @@ def _cmd_table(args: argparse.Namespace) -> int:
 
 
 def _cmd_scan(args: argparse.Namespace) -> int:
-    verdicts = scan(args.max)
-    candidates = [v for v in verdicts if v.status is VerdictStatus.CANDIDATE_NEEDS_DATA]
-    if args.json:
-        for v in candidates:
+    # streamed: a Verdict is built and printed only for each candidate
+    total = candidates = 0
+    for g in _cube_free_forms(args.max):
+        total += 1
+        if _decide(g) is not None:
+            continue
+        candidates += 1
+        v = _necessary_form(g)
+        if args.json:
             print(json.dumps(v.to_json_dict()))
-        return 0
-    for v in candidates:
-        print(f"d = {v.input_d:>8d}   canonical {v.d:>8d}   {v.form.value}")
-    excluded = len(verdicts) - len(candidates)
-    print(f"{len(verdicts)} cube-free radicands <= {args.max}:"
-          f" {len(candidates)} candidates, {excluded} excluded")
+        else:
+            print(f"d = {v.input_d:>8d}   canonical {v.d:>8d}   {v.form.value}")
+    if not args.json:
+        print(f"{total} cube-free radicands <= {args.max}:"
+              f" {candidates} candidates, {total - candidates} excluded")
     return 0
 
 

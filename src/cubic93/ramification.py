@@ -69,22 +69,28 @@ def ramify(d: int) -> RamificationReport:
     return _ramify_from_form(gerth_decompose(d))
 
 
-def _ambiguous_rank(form: GerthForm) -> tuple[bool, int, QStar, int | None]:
-    """(three ramified, t, q*, ambiguous rank) from the mod-9 counts of d."""
+def _ambiguous_rank(
+    v: int, w: int, I: int, J: int, e: int, d9: int  # noqa: E741
+) -> tuple[bool, int, QStar, int | None]:
+    """(three ramified, t, q*, ambiguous rank) from the mod-9 counts of d
+    and d9 = d mod 9."""
     # 3 ramifies in Q(cbrt(d)) when 3 | d or d != +-1 (mod 9)
-    three = form.e > 0 or form.d % 9 not in (1, 8)
-    t = three + 2 * form.w + form.J
-    # Sufficient norm criterion: all non-lam ramified primes 1 mod lam^3.
-    if form.class47mod9 or form.class25mod9:
+    three = e > 0 or d9 not in (1, 8)
+    t = three + 2 * w + J
+    # Sufficient norm criterion: all non-lam ramified primes 1 mod lam^3,
+    # which fails once a split prime is 4 or 7 or an inert one 2 or 5 mod 9.
+    if w > v or J > I:
         return three, t, QStar.UNKNOWN, None
     rank = t - 2 + 1
     if rank < 0:
-        raise ArithmeticError(f"negative ambiguous rank t - 1 = {rank} for d = {form.d}")
+        raise ArithmeticError(
+            f"negative ambiguous rank t - 1 = {rank} for w = {w}, J = {J}, e = {e}"
+        )
     return three, t, QStar.ONE, rank
 
 
 def _ramify_from_form(form: GerthForm) -> RamificationReport:
-    three, t, qs, rank = _ambiguous_rank(form)
+    three, t, qs, rank = _ambiguous_rank(form.v, form.w, form.I, form.J, form.e, form.d % 9)
     primes = {p for p, _ in form.split_primes + form.inert_primes}
     if three:
         primes.add(3)

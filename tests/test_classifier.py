@@ -375,6 +375,18 @@ def test_scan_rejects_bad_bound():
         scan(1)
 
 
+def test_scan_names_its_upper_bound():
+    with pytest.raises(ValueError, match=r"10\^8"):
+        scan(10**8 + 1)
+
+
+def test_scan_equals_the_per_radicand_pipeline():
+    # the per-d loop scan ran before the block sieve, kept as the oracle
+    limit = 30_000
+    flags = cube_free_sieve(limit)
+    assert scan(limit) == [necessary_form(d) for d in range(2, limit + 1) if flags[d]]
+
+
 # ------------------------------------------------------ one factorization each
 
 
@@ -386,9 +398,9 @@ def test_classify_factors_once(factorize_calls):
 
 
 def test_scan_factors_each_radicand_once(factorize_calls):
-    verdicts = scan(3000)
-    assert len(factorize_calls) == len(verdicts)
-    assert factorize_calls == [v.input_d for v in verdicts]
+    # the block sieve hands scan every form, so no radicand is factored at all
+    scan(3000)
+    assert factorize_calls == []
 
 
 def test_rank_from_counts_matches_the_ramify_report():

@@ -201,6 +201,28 @@ def test_scan_into_a_closed_pipe_exits_quietly():
     assert "Traceback" not in err and "BrokenPipeError" not in err, err
 
 
+def test_scan_memory_stays_flat():
+    # the scan streams its radicands, so memory holds one sieve block
+    code = (
+        "import os, resource, sys\n"
+        "from cubic93.cli import main\n"
+        "sys.stdout = open(os.devnull, 'w')\n"
+        "code = main(['scan', '--max', '300000'])\n"
+        "print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss, file=sys.stderr)\n"
+        "sys.exit(code)\n"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", code],
+        env=subprocess_env(),
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    peak_mib = int(proc.stderr.split()[-1]) / 1024  # ru_maxrss is in KiB on Linux
+    assert peak_mib < 100, peak_mib
+
+
 def test_import_does_not_load_mpmath():
     code = "import cubic93, sys; assert 'mpmath' not in sys.modules"
     subprocess.run([sys.executable, "-c", code], env=subprocess_env(), check=True, timeout=120)
@@ -284,12 +306,24 @@ _NUMBER = st.one_of(
 _WORD = st.one_of(_NUMBER, st.text(max_size=8))
 
 
+#: scan bounds that run briefly or are refused: at most 2000, or above 10^8
+_SCAN_MAX = st.one_of(
+    st.integers(-(10**40), 2000), st.integers(10**8 + 1, 10**40)
+).map(str)
+
+
 @st.composite
 def _argv(draw) -> list[str]:
-    """argv for the commands whose cost is bounded by the size of d alone."""
-    # genus, scan and table are left out: their time grows with p and N
+    """argv for the commands whose cost is bounded by the size of d alone,
+    and for scan with a bound that is small or refused."""
+    # genus and table are left out, and scan is drawn only through _SCAN_MAX:
+    # their time grows with p and N
     junk = st.text(max_size=8).filter(lambda w: w not in ("genus", "scan", "table"))
-    command = draw(st.one_of(st.sampled_from(["classify", "decompose", "ramify", "symbol"]), junk))
+    command = draw(st.one_of(
+        st.sampled_from(["classify", "decompose", "ramify", "symbol", "scan"]), junk
+    ))
+    if command == "scan":
+        return ["scan", "--max", draw(_SCAN_MAX)] + draw(st.sampled_from([[], ["--json"]]))
     argv = [command] + draw(st.lists(_WORD, min_size=1, max_size=2))
     if command == "classify":
         if draw(st.booleans()):

@@ -16,6 +16,7 @@ import json
 from cubic93.classifier import ClassGroupShape, classify, scan, type93_equivalence
 
 SCAN_20000 = "e81d1d282c573c299dceca8d652463213feecc275a4d1d3f03ffd5314cce538e"
+SCAN_200000 = "de65cfaf438485af3f124c59e7aad2305abf5b6151414686a37dfcea95763a63"
 CLASSIFY_2_TO_3000 = "3fb91f8764b28a077a2497a448fc3a462b56601d3421d6ec561d8db26a5fa7df"
 DATA_STEP = "19e649a6cda8b0c94cb935169278b84aec7da12ed3b03370488b000aa6ad06a2"
 
@@ -25,6 +26,13 @@ def test_scan_verdict_text_is_unchanged():
     for v in scan(20000):
         h.update(json.dumps(v.to_json_dict()).encode() + b"\n")
     assert h.hexdigest() == SCAN_20000
+
+
+def test_scan_200000_verdict_text_is_unchanged():
+    h = hashlib.sha256()
+    for v in scan(200000):
+        h.update(json.dumps(v.to_json_dict()).encode() + b"\n")
+    assert h.hexdigest() == SCAN_200000
 
 
 def test_classify_verdict_text_is_unchanged():

@@ -8,9 +8,18 @@ from __future__ import annotations
 
 import pytest
 
+import cubic93.radicand
+from cubic93._intmath import is_prime
 from cubic93.classifier import necessary_form
 from cubic93.genus import genus_field_description, genus_number
-from cubic93.radicand import cube_free_sieve, gerth_decompose, normalize
+from cubic93.radicand import (
+    _SCAN_LIMIT,
+    _block_forms,
+    _cube_free_forms,
+    cube_free_sieve,
+    gerth_decompose,
+    normalize,
+)
 from cubic93.ramification import ramify
 
 LIMIT = 100_000
@@ -174,3 +183,29 @@ def test_decompose_exhaustive_against_sieve():
         if d % 9 in (1, 8):
             assert g.e == 0  # d = +-1 (mod 9) forces 3 not to divide d
 
+
+# ---------------------------------------------------------------- block sieve
+
+
+@pytest.mark.parametrize("block", [97, 1000])
+def test_block_sieve_matches_normalize(monkeypatch, block):
+    monkeypatch.setattr(cubic93.radicand, "_BLOCK", block)
+    flags = cube_free_sieve(2001)
+    want = [normalize(d) for d in range(2, 2002) if flags[d]]
+    # blocks start at 2, 2 + block, 2 + 2*block, ...
+    edges = range(2 + block, 2002, block)
+    limits = {2, 7, 8, 26, 27, 28, 2000} | {e + k for e in edges for k in (-1, 0, 1)}
+    for limit in sorted(limits):
+        assert list(_cube_free_forms(limit)) == [g for g in want if g.d <= limit], limit
+
+
+def test_block_sieve_matches_normalize_just_below_the_bound():
+    hi = _SCAN_LIMIT + 1
+    lo = hi - cubic93.radicand._BLOCK
+    primes = [p for p in range(2, 10**4 + 1) if is_prime(p)]
+    want = []
+    for d in range(lo, hi):
+        g = normalize(d)
+        if g.d == d:
+            want.append(g)
+    assert list(_block_forms(lo, hi, primes)) == want
