@@ -38,8 +38,6 @@ from .eisenstein import (
     factor,
     factor_rational_prime,
     gcd,
-    is_one_mod_lambda_cubed,
-    one_mod_three_associate,
     primary_associate,
     rational_cubic_symbol,
 )

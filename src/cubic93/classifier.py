@@ -23,7 +23,7 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from enum import Enum
 from typing import NamedTuple
 
@@ -203,8 +203,7 @@ class Reason:
     conjectural: bool = False
 
 
-@dataclass(frozen=True)
-class Verdict:
+class Verdict(NamedTuple):
     """Outcome of classifying one radicand, with its derivation trace."""
 
     input_d: int
@@ -575,8 +574,7 @@ def classify(d: int, h_gamma3: int | None = None, u: int | None = None) -> Verdi
             f"supplied data give h_k3 = {h_k3}, which {match} the"
             f" predicted shape {v.predicted_class_group}"
         )
-    return replace(
-        v,
+    return v._replace(
         input_d=d,
         status=status,
         reasons=tuple(reasons),

@@ -160,13 +160,6 @@ class EisensteinInt:
         of an inert rational prime q = 2 (mod 3)."""
         return _residue_field(self) is not None
 
-    def congruent_to(self, other: _Operand, modulus: _Operand) -> bool:
-        o = self._coerce(other)
-        m = self._coerce(modulus)
-        if o is None or m is None:
-            raise TypeError("congruence needs Eisenstein or integer operands")
-        return m.divides(self - o)
-
     def __str__(self) -> str:
         if self.b == 0:
             return str(self.a)
@@ -181,7 +174,6 @@ OMEGA = EisensteinInt(0, 1)
 OMEGA_SQUARED = EisensteinInt(-1, -1)
 #: lam = 1 - w, the prime above 3; N(lam) = 3 and 3 = -w^2 * lam^2.
 LAMBDA = EisensteinInt(1, -1)
-LAMBDA_CUBED = LAMBDA * LAMBDA * LAMBDA
 UNITS: tuple[EisensteinInt, ...] = (
     ONE,
     -ONE,
@@ -261,22 +253,6 @@ def primary_associate(z: EisensteinInt) -> EisensteinInt:
         if cand.a % 3 == 2 and cand.b % 3 == 0:
             return cand
     raise AssertionError(f"no primary associate found for {z}")
-
-
-def one_mod_three_associate(z: EisensteinInt) -> EisensteinInt:
-    """The unique associate congruent to 1 (mod 3); the negative of the
-    primary one.  Converts between the two usual normalisations."""
-    return -primary_associate(z)
-
-
-def is_one_mod_lambda_cubed(z: EisensteinInt) -> bool:
-    """z = 1 (mod lam^3); decided by exact division.
-
-    For the associate of a split prime that is 1 (mod 3) this holds exactly
-    when the underlying rational prime is 1 (mod 9), and for a rational
-    integer m exactly when m = 1 (mod 9).
-    """
-    return z.congruent_to(ONE, LAMBDA_CUBED)
 
 
 @lru_cache(maxsize=None)

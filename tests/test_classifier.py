@@ -346,6 +346,41 @@ def test_classify_rejects_cubes_and_small_d():
         classify(1)
 
 
+def test_classify_without_data_adds_only_the_still_needed_line():
+    # with no data, classify is necessary_form plus, for a candidate, one line
+    still_needed = (
+        "still needed: the exact 3-part of the cubic class number, the unit index u"
+    )
+    flags = cube_free_sieve(2000)
+    for d in range(2, 2000):
+        if not flags[d]:
+            continue
+        v, bare = classify(d), necessary_form(d)
+        if v.status is VerdictStatus.EXCLUDED:
+            assert v == bare, d
+            continue
+        assert v.status is VerdictStatus.CANDIDATE_NEEDS_DATA, d
+        assert v.trace == bare.trace + (still_needed,), d
+        got, want = v.to_json_dict(), bare.to_json_dict()
+        del got["trace"], want["trace"]
+        assert got == want, d
+
+
+def test_verdicts_and_forms_are_immutable_and_hashable():
+    scanned = scan(200)[-1]
+    for value, field in (
+        (scanned, "status"),
+        (classify(199, 9, 1), "class_group"),
+        (scanned.decomposition, "d"),
+    ):
+        with pytest.raises(AttributeError):
+            setattr(value, field, None)
+        hash(value)
+    # equal values hash equal: a scan verdict keys the same as a fresh one
+    assert scanned.input_d == 199
+    assert len({scanned, necessary_form(199)}) == 1
+
+
 # ------------------------------------------------------------------------ scan
 
 

@@ -35,8 +35,6 @@ from cubic93.eisenstein import (
     factor,
     factor_rational_prime,
     gcd,
-    is_one_mod_lambda_cubed,
-    one_mod_three_associate,
     primary_associate,
     rational_cubic_symbol,
 )
@@ -284,12 +282,33 @@ def test_primary_associate_unique_among_the_six():
         assert primary_associate(z) == primaries[0]
 
 
+def congruent_to(z: EisensteinInt, other: EisensteinInt, modulus: EisensteinInt) -> bool:
+    """z = other (mod modulus), decided by exact division."""
+    return modulus.divides(z - other)
+
+
+def one_mod_three_associate(z: EisensteinInt) -> EisensteinInt:
+    """The unique associate congruent to 1 (mod 3); the negative of the
+    primary one.  Converts between the two usual normalisations."""
+    return -primary_associate(z)
+
+
+def is_one_mod_lambda_cubed(z: EisensteinInt) -> bool:
+    """z = 1 (mod lam^3); decided by exact division.
+
+    For the associate of a split prime that is 1 (mod 3) this holds exactly
+    when the underlying rational prime is 1 (mod 9), and for a rational
+    integer m exactly when m = 1 (mod 9).
+    """
+    return congruent_to(z, ONE, LAMBDA * LAMBDA * LAMBDA)
+
+
 def test_one_mod_three_associate_and_lambda_cubed():
     # for split p the 1-mod-3 associate is 1 mod lam^3 exactly when p = 1 (mod 9)
     for p in [q for q in oracle_primes(1000) if q % 3 == 1]:
         pi = factor_rational_prime(p).factors[0]
         z = one_mod_three_associate(pi)
-        assert z.congruent_to(ONE, EisensteinInt(3))
+        assert congruent_to(z, ONE, EisensteinInt(3))
         assert is_one_mod_lambda_cubed(z) == (p % 9 == 1)
     # rational integers: mod lam^3 is mod 9
     for m in range(-30, 30):

@@ -14,6 +14,7 @@ from cubic93.classifier import necessary_form
 from cubic93.genus import genus_field_description, genus_number
 from cubic93.radicand import (
     _SCAN_LIMIT,
+    GerthForm,
     _block_forms,
     _cube_free_forms,
     cube_free_sieve,
@@ -42,6 +43,14 @@ def oracle_factor(n: int, spf: list[int]) -> dict[int, int]:
         p = spf[n]
         out[p] = out.get(p, 0) + 1
         n //= p
+    return out
+
+
+def recomposed(g: GerthForm) -> int:
+    """3^e times every listed prime power: d again."""
+    out = 3**g.e
+    for p, e in g.split_primes + g.inert_primes:
+        out *= p**e
     return out
 
 
@@ -163,7 +172,7 @@ def test_decompose_exhaustive_against_sieve():
             continue
         g = gerth_decompose(d)
         assert g == nr
-        assert g.recomposed() == d
+        assert recomposed(g) == d
         listed = [p for p, _ in g.class1mod9 + g.class47mod9 + g.class8mod9 + g.class25mod9]
         assert sorted(listed) == sorted(p for p in fac if p != 3)
         assert len(set(listed)) == len(listed)  # classes are disjoint
