@@ -58,7 +58,7 @@ from .genus import (
     genus_number,
     period_polynomial,
 )
-from .radicand import GerthForm, cube_free_sieve, gerth_decompose, normalize
-from .ramification import K0Prime, K0PrimeKind, QStar, RamificationReport, ramify
+from .radicand import GerthForm, gerth_decompose, normalize
+from .ramification import K0Prime, QStar, RamificationReport, ramify
 
 __version__ = "0.1.0"

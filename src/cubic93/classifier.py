@@ -285,19 +285,6 @@ def necessary_form(d: int) -> Verdict:
     return _necessary_form(gerth_decompose(d))
 
 
-# The form class each outcome of _decide names; None is the candidate shape.
-_FORM_OF: dict[ReasonCode | None, FormClass] = {
-    None: FormClass.P_1MOD9,
-    ReasonCode.NO_SPLIT_PRIME: FormClass.OTHER,
-    ReasonCode.MULTIPLE_SPLIT_PRIMES: FormClass.OTHER,
-    ReasonCode.CUBIC_SYMBOL_CONJECTURE: FormClass.P_47MOD9,
-    ReasonCode.THREE_TIMES_SPLIT_RANK: FormClass.THREE_P_1MOD9,
-    ReasonCode.THREE_TIMES_NONRESIDUE_CYCLIC: FormClass.THREE_P_47MOD9,
-    ReasonCode.SPLIT_INERT_RANK: FormClass.PQ_1MOD9,
-    ReasonCode.RANK_CASE_EXHAUSTION: FormClass.OTHER,
-}
-
-
 class _Decision(NamedTuple):
     """What a signature decides, with the trace text that names no prime."""
 
@@ -324,14 +311,9 @@ def _signature(g: GerthForm) -> tuple[int, ...]:
     )
 
 
-def _decide(g: GerthForm) -> ReasonCode | None:
-    """The first exclusion that applies to d, or None for the candidate shape."""
-    return _decision(_signature(g)).code
-
-
 @functools.lru_cache(maxsize=None)
 def _decision(sig: tuple[int, ...]) -> _Decision:
-    """Decide a signature once: the first exclusion that applies, or None.
+    """Decide a signature once: the first exclusion that applies, or None, and its form.
 
     The outcome reads only the counts v, w, I, J, e and d mod 9, never a
     prime; p and q mod 9 enter only the text of RANK_CASE_EXHAUSTION.
@@ -339,22 +321,23 @@ def _decision(sig: tuple[int, ...]) -> _Decision:
     v, w, I, J, e, d9, p9, q9 = sig  # noqa: E741
     # (a) no prime = 1 (mod 3) divides d; (b) two or more do
     if w == 0:
-        code = ReasonCode.NO_SPLIT_PRIME
+        code, form = ReasonCode.NO_SPLIT_PRIME, FormClass.OTHER
     elif w >= 2:
-        code = ReasonCode.MULTIPLE_SPLIT_PRIMES
+        code, form = ReasonCode.MULTIPLE_SPLIT_PRIMES, FormClass.OTHER
     # exactly one p = 1 (mod 3) from here on, so p = 1 (mod 9) reads v == 1
+    elif J == 0 and e == 0 and v == 1:
+        code, form = None, FormClass.P_1MOD9
     elif J == 0 and e == 0:
-        code = None if v == 1 else ReasonCode.CUBIC_SYMBOL_CONJECTURE
+        code, form = ReasonCode.CUBIC_SYMBOL_CONJECTURE, FormClass.P_47MOD9
+    elif J == 0 and v == 1:
+        code, form = ReasonCode.THREE_TIMES_SPLIT_RANK, FormClass.THREE_P_1MOD9
     elif J == 0:
-        code = (
-            ReasonCode.THREE_TIMES_SPLIT_RANK if v == 1
-            else ReasonCode.THREE_TIMES_NONRESIDUE_CYCLIC
-        )
+        code, form = ReasonCode.THREE_TIMES_NONRESIDUE_CYCLIC, FormClass.THREE_P_47MOD9
     # J >= 1: mixed split/inert forms; with J == 1, q = 8 (mod 9) reads I == 1
     elif J == 1 and e == 0 and d9 in (1, 8) and v == 1 and I == 1:
-        code = ReasonCode.SPLIT_INERT_RANK
+        code, form = ReasonCode.SPLIT_INERT_RANK, FormClass.PQ_1MOD9
     else:
-        code = ReasonCode.RANK_CASE_EXHAUSTION
+        code, form = ReasonCode.RANK_CASE_EXHAUSTION, FormClass.OTHER
     _, t, q_star, sigma_rank = _ambiguous_rank(v, w, I, J, e, d9)
 
     line = detail = None
@@ -401,7 +384,7 @@ def _decision(sig: tuple[int, ...]) -> _Decision:
             )
     return _Decision(
         code=code,
-        form=_FORM_OF[code],
+        form=form,
         status=VerdictStatus.CANDIDATE_NEEDS_DATA if code is None else VerdictStatus.EXCLUDED,
         t=t,
         q_star=q_star,

@@ -16,8 +16,8 @@ import shlex
 import sys
 
 from .cas import CasConfig, CasError
-from .classifier import Verdict, _decide, _necessary_form, classify
-from .eisenstein import rational_cubic_symbol
+from .classifier import Verdict, _decision, _necessary_form, _signature, classify
+from .eisenstein import SplitKind, rational_cubic_symbol
 from .fixtures import FixtureError, reproduce_table
 from .genus import _genus_from_form, format_cubic
 from .radicand import GerthForm, _cube_free_forms, normalize
@@ -134,7 +134,8 @@ def _cmd_ramify(args: argparse.Namespace) -> int:
           f"   (3 ramified: {rep.three_ramified})")
     print("ramified primes of k0 in k/k0:")
     for entry in rep.k0_ramified:
-        print(f"  - {entry.kind.value:6s} above {entry.p}: {entry.element}")
+        kind = "lambda" if entry.kind is SplitKind.RAMIFIED else entry.kind.value
+        print(f"  - {kind:6s} above {entry.p}: {entry.element}")
     rank = rep.sigma_rank if rep.sigma_rank is not None else "unknown"
     print(f"t = {rep.t}, q* = {rep.q_star.value}, ambiguous 3-rank = {rank}")
     for note in rep.notes:
@@ -179,7 +180,7 @@ def _cmd_scan(args: argparse.Namespace) -> int:
     total = candidates = 0
     for g in _cube_free_forms(args.max):
         total += 1
-        if _decide(g) is not None:
+        if _decision(_signature(g)).code is not None:
             continue
         candidates += 1
         v = _necessary_form(g)

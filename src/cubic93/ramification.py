@@ -4,7 +4,8 @@ Here k0 = Q(zeta_3) and k = k0(cbrt(d)).  Primes dividing d ramify in the
 cubic field Q(cbrt(d)); 3 ramifies there exactly when 3 | d or d is not
 congruent to +-1 mod 9 (Dedekind's criterion).  In k/k0 each ramified
 rational prime contributes its primes of k0: a split p = 1 (mod 3) gives
-two, an inert q = 2 (mod 3) gives one, and 3 gives lam = 1 - zeta_3.
+two, an inert q = 2 (mod 3) gives one, and 3 gives lam = 1 - zeta_3.  Each
+k0 prime carries the SplitKind of its rational prime (RAMIFIED for lam).
 
 The count t of ramified primes of k0 feeds the ambiguous-class rank
 
@@ -28,7 +29,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 
-from .eisenstein import LAMBDA, EisensteinInt, SplitKind, factor_rational_prime
+from .eisenstein import EisensteinInt, SplitKind, factor_rational_prime
 from .radicand import GerthForm, gerth_decompose
 
 
@@ -37,17 +38,11 @@ class QStar(Enum):
     UNKNOWN = "unknown"
 
 
-class K0PrimeKind(Enum):
-    SPLIT = "split"
-    INERT = "inert"
-    LAMBDA = "lambda"
-
-
 @dataclass(frozen=True)
 class K0Prime:
     """One prime of k0 = Q(zeta_3) that ramifies in k/k0."""
 
-    kind: K0PrimeKind
+    kind: SplitKind
     p: int
     element: EisensteinInt
 
@@ -97,13 +92,7 @@ def _ramify_from_form(form: GerthForm) -> RamificationReport:
     entries: list[K0Prime] = []
     for p in sorted(primes):
         splitting = factor_rational_prime(p)
-        if splitting.kind is SplitKind.RAMIFIED:
-            entries.append(K0Prime(K0PrimeKind.LAMBDA, 3, LAMBDA))
-        elif splitting.kind is SplitKind.SPLIT:
-            for prime in splitting.factors:
-                entries.append(K0Prime(K0PrimeKind.SPLIT, p, prime))
-        else:
-            entries.append(K0Prime(K0PrimeKind.INERT, p, splitting.factors[0]))
+        entries += (K0Prime(splitting.kind, p, prime) for prime in splitting.factors)
     if len(entries) != t:
         raise ArithmeticError(
             f"{len(entries)} ramified primes of k0 found in Z[w] for d = {form.d},"

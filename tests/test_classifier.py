@@ -13,7 +13,8 @@ from cubic93.classifier import (
     FormClass,
     ReasonCode,
     VerdictStatus,
-    _decide,
+    _decision,
+    _signature,
     classify,
     hk_from_hgamma,
     necessary_form,
@@ -259,9 +260,9 @@ def test_reason_consistency_invariants():
 
 
 def test_decision_is_a_function_of_the_mod9_counts(monkeypatch):
-    # _decide must not need a prime: the P_47MOD9 symbol only explains its outcome
+    # _decision must not need a prime: the P_47MOD9 symbol only explains its outcome
     def no_symbol(a: int, p: int) -> None:
-        raise AssertionError(f"_decide evaluated a cubic residue symbol at p = {p}")
+        raise AssertionError(f"_decision evaluated a cubic residue symbol at p = {p}")
 
     verdicts = scan(20_000)
     monkeypatch.setattr(cubic93.classifier, "rational_cubic_symbol", no_symbol)
@@ -269,7 +270,7 @@ def test_decision_is_a_function_of_the_mod9_counts(monkeypatch):
     for v in verdicts:
         g = v.decomposition
         code = v.reasons[0].code if v.reasons else None
-        assert _decide(g) is code, v.input_d
+        assert _decision(_signature(g)).code is code, v.input_d
         signature = (g.v, g.w, g.I, g.J, g.e, g.d % 9)
         by_signature.setdefault(signature, set()).add((v.form, v.status, code))
     assert len(verdicts) == 16_638

@@ -55,6 +55,12 @@ def test_classify_without_data(capsys):
     assert "candidate_needs_data" in out
 
 
+def test_classify_prints_the_predicted_shape(capsys):
+    code, out, _ = run(capsys, "classify", "61")
+    assert code == 0
+    assert "predicted 3-class group of k: Z/3 x Z/3\n" in out
+
+
 def test_classify_perfect_cube_is_usage_error(capsys):
     code, _, err = run(capsys, "classify", "27")
     assert code == 1
@@ -86,6 +92,25 @@ def test_ramify(capsys):
     assert code == 0
     assert "t = 4" in out
     assert "lambda" in out
+
+
+def test_ramify_report_is_pinned(capsys):
+    code, out, _ = run(capsys, "ramify", "42")
+    assert code == 0
+    assert out == (
+        "d = 42\n"
+        "ramified in the cubic field: [2, 3, 7]   (3 ramified: True)\n"
+        "ramified primes of k0 in k/k0:\n"
+        "  - inert  above 2: 2\n"
+        "  - lambda above 3: 1-1w\n"
+        "  - split  above 7: 2+3w\n"
+        "  - split  above 7: -1-3w\n"
+        "t = 4, q* = unknown, ambiguous 3-rank = unknown\n"
+        "note: ambiguous classes are elementary: fixed by sigma, their cube is"
+        " the norm to k0, which has class number 1\n"
+        "note: the sufficient norm criterion for q* = 1 does not apply and no"
+        " general criterion is implemented, so q* stays unknown\n"
+    )
 
 
 def test_genus(capsys):

@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import json
 import random
+import re
 import sys
 from pathlib import Path
 
@@ -101,6 +102,25 @@ def test_load_checks_optional_derived_fields(tmp_path: Path):
         path.write_text(json.dumps({**row, **extra}) + "\n")
         with pytest.raises(FixtureError, match=message):
             load_fixtures(path)
+
+
+@pytest.mark.parametrize(
+    ("row", "message"),
+    [
+        ({"extra": 1}, "unknown fields ['extra']"),
+        ({"c_gamma": 9}, "c_gamma must be a list of cyclic orders"),
+        ({"c_k": [3, 9]}, "orders (3, 9) must be non-increasing"),
+        ([1, 2], "expected one JSON object per line"),
+    ],
+    ids=["extra-key", "c_gamma-not-a-list", "c_k-increasing", "not-an-object"],
+)
+def test_load_rejects_bad_rows(tmp_path: Path, row, message: str):
+    good = {"p": 199, "h_gamma3": 9, "h_k3": 27, "u": 1, "c_gamma": [9], "c_k": [9, 3]}
+    record = {**good, **row} if isinstance(row, dict) else row
+    path = tmp_path / "rows.jsonl"
+    path.write_text(json.dumps(record) + "\n")
+    with pytest.raises(FixtureError, match="line 1: " + re.escape(message)):
+        load_fixtures(path)
 
 
 @pytest.mark.parametrize(
@@ -258,6 +278,12 @@ def test_cas_rejects_non_positive_invariants(tmp_path: Path, invariants: str):
 def test_cas_missing_executable_is_unavailable():
     config = CasConfig(command=("/nonexistent/gp-binary",), timeout=5.0)
     with pytest.raises(CasUnavailableError):
+        cas_query(199, config)
+
+
+def test_cas_timeout_is_an_error():
+    config = CasConfig((sys.executable, "-c", "import time; time.sleep(5)"), timeout=0.3)
+    with pytest.raises(CasError, match="timed out"):
         cas_query(199, config)
 
 

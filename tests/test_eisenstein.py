@@ -140,6 +140,12 @@ def test_omega_satisfies_its_equation():
     assert OMEGA * OMEGA == OMEGA_SQUARED
 
 
+def test_negative_powers_exist_only_for_units():
+    assert OMEGA ** -1 == OMEGA_SQUARED
+    with pytest.raises(ValueError, match="only for units"):
+        LAMBDA ** -1
+
+
 def test_conjugate_of_omega():
     assert OMEGA.conjugate() == EisensteinInt(-1, -1)
 

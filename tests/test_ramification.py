@@ -9,7 +9,7 @@ import pytest
 import cubic93.ramification
 from cubic93.eisenstein import SplitKind, factor_rational_prime
 from cubic93.radicand import cube_free_sieve
-from cubic93.ramification import K0PrimeKind, QStar, ramify
+from cubic93.ramification import QStar, ramify
 
 LIMIT = 10_000
 
@@ -73,9 +73,9 @@ def test_report_structure_for_42():
     assert rep.t == 4
     assert rep.three_ramified
     kinds = [e.kind for e in rep.k0_ramified]
-    assert kinds.count(K0PrimeKind.SPLIT) == 2
-    assert kinds.count(K0PrimeKind.INERT) == 1
-    assert kinds.count(K0PrimeKind.LAMBDA) == 1
+    assert kinds.count(SplitKind.SPLIT) == 2
+    assert kinds.count(SplitKind.INERT) == 1
+    assert kinds.count(SplitKind.RAMIFIED) == 1
     assert rep.q_star is QStar.UNKNOWN and rep.sigma_rank is None
     assert any("class number 1" in note for note in rep.notes)
 
@@ -120,6 +120,19 @@ def test_splitting_consistency_with_eisenstein_layer():
             assert {e.element for e in entries} == set(splitting.factors)
         else:
             assert len(entries) == 1
+
+
+def test_k0_primes_carry_the_splitting_of_their_rational_prime():
+    # each k0 prime has the kind of p in Z[w] and norm p, or p^2 when p is inert
+    flags = cube_free_sieve(1999)
+    for d in range(2, 2000):
+        if not flags[d]:
+            continue
+        for entry in ramify(d).k0_ramified:
+            kind = factor_rational_prime(entry.p).kind
+            assert entry.kind is kind, (d, entry)
+            want = entry.p**2 if kind is SplitKind.INERT else entry.p
+            assert entry.element.norm() == want, (d, entry)
 
 
 def test_rejects_non_cube_free():
