@@ -2,11 +2,12 @@
 can be, or certainly is, of type (9, 3).
 
 The necessary-form analysis is purely arithmetic: it eliminates every shape
-of d except d = p^e with p = 1 (mod 9).  The outcome is decided first, from
-the mod-9 counts of d alone, by the first exclusion argument that applies in
-a fixed order; a human-readable trace of it is rendered after.  A few hundred
-count signatures cover every radicand, so each is decided, and the trace
-text that names no prime rendered, once per signature.
+of d except d = p^e with p = 1 (mod 9).  The outcome is decided from the
+mod-9 counts of d alone, by the first exclusion argument that applies in a
+fixed order, and the branch that decides it also writes its trace line and
+reason.  A few hundred count signatures cover every radicand, so that text
+is written once per signature, and a verdict fills in only the factors of d
+and its primes p and q; d = p^e with p = 4 or 7 (mod 9) adds (3/p)_3.
 
 Certification needs two external inputs that the library never computes
 itself, the exact 3-part h of the class number of the cubic field and the
@@ -279,14 +280,14 @@ def necessary_form(d: int) -> Verdict:
     fixed order: no split prime; several split primes; then the five-form
     case analysis for exactly one split prime.  The outcome, the count t,
     q* and the ambiguous rank are decided from the mod-9 counts of d alone,
-    and the trace is rendered from them after; no prime is factored in
-    Z[w] (that is the ramify report's job).
+    and so is the trace text, up to the primes it names; no prime is factored
+    in Z[w] (that is the ramify report's job).
     """
     return _necessary_form(gerth_decompose(d))
 
 
 class _Decision(NamedTuple):
-    """What a signature decides, with the trace text that names no prime."""
+    """What a signature decides, with its trace line and reasons."""
 
     code: ReasonCode | None
     form: FormClass
@@ -295,9 +296,11 @@ class _Decision(NamedTuple):
     q_star: QStar
     sigma_rank: int | None
     counts: str  # the "counts:" trace line
-    # the code's trace line and reasons, for the codes whose text names no prime
-    line: str | None
+    # the code's trace line; when named, {factors}, {p} and {q} are left open
+    line: str
+    named: bool
     reasons: tuple[Reason, ...]
+    predicted: ClassGroupShape | None
 
 
 def _signature(g: GerthForm) -> tuple[int, ...]:
@@ -313,42 +316,29 @@ def _signature(g: GerthForm) -> tuple[int, ...]:
 
 @functools.lru_cache(maxsize=None)
 def _decision(sig: tuple[int, ...]) -> _Decision:
-    """Decide a signature once: the first exclusion that applies, or None, and its form.
+    """Decide and explain a signature once: the first exclusion that applies,
+    or None, its form, its trace line and its reason.
 
     The outcome reads only the counts v, w, I, J, e and d mod 9, never a
-    prime; p and q mod 9 enter only the text of RANK_CASE_EXHAUSTION.
+    prime; p and q mod 9 enter only the text of RANK_CASE_EXHAUSTION.  A
+    line that names the radicand is kept as a template, so a verdict only
+    fills in {factors}, {p} and {q}.  CUBIC_SYMBOL_CONJECTURE is the one
+    code whose text is left to the verdict: it reads (3/p)_3.
     """
     v, w, I, J, e, d9, p9, q9 = sig  # noqa: E741
+    _, t, q_star, sigma_rank = _ambiguous_rank(v, w, I, J, e, d9)
+    named, detail, predicted = False, None, None
     # (a) no prime = 1 (mod 3) divides d; (b) two or more do
     if w == 0:
         code, form = ReasonCode.NO_SPLIT_PRIME, FormClass.OTHER
-    elif w >= 2:
-        code, form = ReasonCode.MULTIPLE_SPLIT_PRIMES, FormClass.OTHER
-    # exactly one p = 1 (mod 3) from here on, so p = 1 (mod 9) reads v == 1
-    elif J == 0 and e == 0 and v == 1:
-        code, form = None, FormClass.P_1MOD9
-    elif J == 0 and e == 0:
-        code, form = ReasonCode.CUBIC_SYMBOL_CONJECTURE, FormClass.P_47MOD9
-    elif J == 0 and v == 1:
-        code, form = ReasonCode.THREE_TIMES_SPLIT_RANK, FormClass.THREE_P_1MOD9
-    elif J == 0:
-        code, form = ReasonCode.THREE_TIMES_NONRESIDUE_CYCLIC, FormClass.THREE_P_47MOD9
-    # J >= 1: mixed split/inert forms; with J == 1, q = 8 (mod 9) reads I == 1
-    elif J == 1 and e == 0 and d9 in (1, 8) and v == 1 and I == 1:
-        code, form = ReasonCode.SPLIT_INERT_RANK, FormClass.PQ_1MOD9
-    else:
-        code, form = ReasonCode.RANK_CASE_EXHAUSTION, FormClass.OTHER
-    _, t, q_star, sigma_rank = _ambiguous_rank(v, w, I, J, e, d9)
-
-    line = detail = None
-    if code is ReasonCode.NO_SPLIT_PRIME:
         line = (
             "no prime = 1 (mod 3) divides d, so the sextic 3-class group is"
             " the square C x C of the cubic one; its order is an even power"
             " of 3 and can never be 27"
         )
         detail = "w = 0 forces C_k3 = C x C"
-    elif code is ReasonCode.MULTIPLE_SPLIT_PRIMES:
+    elif w >= 2:
+        code, form = ReasonCode.MULTIPLE_SPLIT_PRIMES, FormClass.OTHER
         line = (
             f"w = {w} primes = 1 (mod 3) divide d; type (9, 3) would make"
             " the cubic 3-class group cyclic of order 9, whose Hilbert"
@@ -356,7 +346,45 @@ def _decision(sig: tuple[int, ...]) -> _Decision:
             " yet the genus field would already contain two distinct ones"
         )
         detail = f"w = {w} >= 2 contradicts a cyclic Z/9 cubic 3-class group"
-    elif code is ReasonCode.RANK_CASE_EXHAUSTION:
+    # exactly one p = 1 (mod 3) from here on, so p = 1 (mod 9) reads v == 1
+    elif J == 0 and e == 0 and v == 1:
+        code, form, named = None, FormClass.P_1MOD9, True
+        line = (
+            "d = {factors} with {p} = 1 (mod 9): the one"
+            " admissible shape; certification needs the exact 3-part of"
+            " the cubic class number and the unit index"
+        )
+    elif J == 0 and e == 0:
+        code, form, line = ReasonCode.CUBIC_SYMBOL_CONJECTURE, FormClass.P_47MOD9, ""
+    elif J == 0 and v == 1:
+        code, form, named = ReasonCode.THREE_TIMES_SPLIT_RANK, FormClass.THREE_P_1MOD9, True
+        line = (
+            f"3 and {{p}} = 1 (mod 9) ramify: t = {t} primes of k0"
+            " (lam and the two above p), all non-lam ones 1 mod lam^3,"
+            f" so q* = 1 and the ambiguous rank is {sigma_rank};"
+            " type (9, 3) needs ambiguous rank 1"
+        )
+        detail = f"t = {t}, q* = 1, ambiguous rank {sigma_rank} != 1"
+    elif J == 0:
+        code, form = ReasonCode.THREE_TIMES_NONRESIDUE_CYCLIC, FormClass.THREE_P_47MOD9
+        named, predicted = True, _CYCLIC_3
+        line = (
+            "d = {factors} with {p} = 4 or 7 (mod 9): for this shape"
+            " the sextic 3-class group is cyclic of order 3, not (9, 3)"
+        )
+        detail = "C_k3 is cyclic of order 3 for 3^e * p^e1 with p = 4 or 7 (mod 9)"
+    # J >= 1: mixed split/inert forms; with J == 1, q = 8 (mod 9) reads I == 1
+    elif J == 1 and e == 0 and d9 in (1, 8) and v == 1 and I == 1:
+        code, form, named = ReasonCode.SPLIT_INERT_RANK, FormClass.PQ_1MOD9, True
+        line = (
+            "d = +-1 (mod 9) keeps 3 unramified; {p} splits and {q} stays"
+            f" inert, so t = {t}; p = 1 (mod 9) and q = 8 (mod 9) put"
+            " every ramified prime of k0 at 1 mod lam^3, so q* = 1 and the"
+            f" ambiguous rank is {sigma_rank}; type (9, 3) needs rank 1"
+        )
+        detail = f"t = {t}, q* = 1, ambiguous rank {sigma_rank} != 1"
+    else:
+        code, form = ReasonCode.RANK_CASE_EXHAUSTION, FormClass.OTHER
         if 2 * w + J > 3:
             line = (
                 f"2w + J = {2 * w + J} > 3, but an ambiguous rank of 1 allows"
@@ -391,89 +419,43 @@ def _decision(sig: tuple[int, ...]) -> _Decision:
         sigma_rank=sigma_rank,
         counts=f"counts: v = {v}, w = {w}, I = {I}, J = {J}, e = {e}; d = {d9} (mod 9)",
         line=line,
+        named=named,
         reasons=() if detail is None else (Reason(code, detail),),
+        predicted=predicted,
     )
 
 
 def _necessary_form(g: GerthForm) -> Verdict:
     dec = _decision(_signature(g))
-    code, t, sigma_rank = dec.code, dec.t, dec.sigma_rank
-    form = _form_string(g)
-    trace = [f"d = {g.d} = {form}", dec.counts]
-    reasons = dec.reasons
-    predicted: ClassGroupShape | None = None
-    symbol: CubicCharacterValue | None = None
-
-    if dec.line is not None:
-        trace.append(dec.line)
-    else:
-        # every code left names p, the one split prime; SPLIT_INERT_RANK names q too
+    factors = _form_string(g)
+    line, reasons, predicted, symbol = dec.line, dec.reasons, dec.predicted, None
+    if dec.named:  # p is the one split prime; only SPLIT_INERT_RANK names q
+        q = g.inert_primes[0][0] if g.inert_primes else None
+        line = line.format(factors=factors, p=g.split_primes[0][0], q=q)
+    elif dec.code is ReasonCode.CUBIC_SYMBOL_CONJECTURE:
+        # the symbol only explains the outcome and names the predicted shape
         p = g.split_primes[0][0]
-        if code is None:
-            trace.append(
-                f"d = {form} with {p} = 1 (mod 9): the one"
-                " admissible shape; certification needs the exact 3-part of"
-                " the cubic class number and the unit index"
-            )
-        elif code is ReasonCode.CUBIC_SYMBOL_CONJECTURE:
-            # the symbol only explains the outcome and names the predicted shape
-            symbol = rational_cubic_symbol(3, p)
-            if symbol is CubicCharacterValue.ONE:
-                predicted = _ELEMENTARY_3_3
-                trace.append(
-                    f"(3/{p})_3 = 1, and for p = 4 or 7 (mod 9) the conjectural"
-                    " classification then gives C_k3 = Z/3 x Z/3, not (9, 3)"
-                )
-            else:
-                predicted = _CYCLIC_3
-                trace.append(
-                    f"(3/{p})_3 = {symbol.value} != 1, and for p = 4 or 7 (mod 9)"
-                    " the conjectural classification then gives C_k3 = Z/3,"
-                    " not (9, 3)"
-                )
-            detail = f"(3/{p})_3 = {symbol.value}: predicted shape {predicted}"
-        elif code is ReasonCode.THREE_TIMES_SPLIT_RANK:
-            trace.append(
-                f"3 and {p} = 1 (mod 9) ramify: t = {t} primes of k0"
-                " (lam and the two above p), all non-lam ones 1 mod lam^3,"
-                f" so q* = 1 and the ambiguous rank is {sigma_rank};"
-                " type (9, 3) needs ambiguous rank 1"
-            )
-            detail = f"t = {t}, q* = 1, ambiguous rank {sigma_rank} != 1"
-        elif code is ReasonCode.THREE_TIMES_NONRESIDUE_CYCLIC:
-            predicted = _CYCLIC_3
-            trace.append(
-                f"d = {form} with {p} = 4 or 7 (mod 9): for this shape"
-                " the sextic 3-class group is cyclic of order 3, not (9, 3)"
-            )
-            detail = (
-                "C_k3 is cyclic of order 3 for 3^e * p^e1 with"
-                " p = 4 or 7 (mod 9)"
-            )
-        else:  # SPLIT_INERT_RANK
-            q = g.inert_primes[0][0]
-            trace.append(
-                f"d = +-1 (mod 9) keeps 3 unramified; {p} splits and {q} stays"
-                f" inert, so t = {t}; p = 1 (mod 9) and q = 8 (mod 9) put"
-                " every ramified prime of k0 at 1 mod lam^3, so q* = 1 and the"
-                f" ambiguous rank is {sigma_rank}; type (9, 3) needs rank 1"
-            )
-            detail = f"t = {t}, q* = 1, ambiguous rank {sigma_rank} != 1"
-        if code is not None:
-            conjectural = code is ReasonCode.CUBIC_SYMBOL_CONJECTURE
-            reasons = (Reason(code, detail, conjectural),)
-
+        symbol = rational_cubic_symbol(3, p)
+        one = symbol is CubicCharacterValue.ONE
+        predicted = _ELEMENTARY_3_3 if one else _CYCLIC_3
+        line = (
+            f"(3/{p})_3 = {symbol.value}{'' if one else ' != 1'}, and for"
+            " p = 4 or 7 (mod 9) the conjectural classification then gives"
+            f" C_k3 = {predicted}, not (9, 3)"
+        )
+        detail = f"(3/{p})_3 = {symbol.value}: predicted shape {predicted}"
+        reasons = (Reason(dec.code, detail, conjectural=True),)
     return Verdict(
         input_d=g.d,
         d=g.canonical,
         form=dec.form,
         status=dec.status,
         reasons=reasons,
-        trace=tuple(trace),
+        trace=(f"d = {g.d} = {factors}", dec.counts, line),
         decomposition=g,
-        t=t,
+        t=dec.t,
         q_star=dec.q_star,
-        sigma_rank=sigma_rank,
+        sigma_rank=dec.sigma_rank,
         predicted_class_group=predicted,
         symbol_three=symbol,
     )

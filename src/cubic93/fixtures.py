@@ -87,6 +87,11 @@ def _parse_row(record: dict, where: str) -> FixtureRow:
             f"{where}: h_k3 = {h_k3} violates h_k3 = (u/3)*h_gamma3^2"
             f" = {expected_hk}"
         )
+    for key, shape, h in (("c_gamma", c_gamma, "h_gamma3"), ("c_k", c_k, "h_k3")):
+        if shape.order != record[h]:
+            raise FixtureError(
+                f"{where}: {key} = {shape} has order {shape.order}, not {h} = {record[h]}"
+            )
     if p_squared != p * p:
         raise FixtureError(f"{where}: p_squared != p^2")
     if p_mod9 != p % 9:
@@ -208,8 +213,7 @@ def reproduce_table(
         verdict = classify(row.p, h3, u)
         ok = (
             verdict.status is VerdictStatus.CERTIFIED_9_3
-            and verdict.class_group is not None
-            and verdict.class_group.orders == (9, 3)
+            and verdict.class_group == row.c_k
             and verdict.h_k3 == row.h_k3
         )
         if ok:

@@ -175,19 +175,14 @@ def _genus_from_form(form: GerthForm, h_gamma3_exactly9: bool) -> GenusReport:
     split = [p for p, _ in form.split_primes]
     r = len(split)
     polys = tuple((p, period_polynomial(p)) for p in split)
-    if h_gamma3_exactly9 and r == 2:
-        flag: bool | None = True
-    elif h_gamma3_exactly9 and r < 2:
-        flag = False
-    else:
-        flag = None
     notes = ["the genus field always embeds in the Hilbert 3-class field"]
     if r == 0:
         notes.append("no prime = 1 (mod 3) divides d: the genus field is the cubic field itself")
+    flag: bool | None = None
     if h_gamma3_exactly9 and r > 2:
-        notes.append(
-            f"inconsistent data: 3^{r} divides h, so 9 cannot divide h exactly"
-        )
+        notes.append(f"inconsistent data: 3^{r} divides h, so 9 cannot divide h exactly")
+    elif h_gamma3_exactly9:
+        flag = r == 2
     return GenusReport(
         d=form.d,
         r=r,

@@ -147,13 +147,29 @@ def test_table_corrupt_fixture_is_data_error(tmp_path: Path, capsys):
     path = tmp_path / "corrupt.jsonl"
     path.write_text(
         json.dumps(
-            {"p": 199, "h_gamma3": 9, "h_k3": 81, "u": 3, "c_gamma": [9], "c_k": [9, 3]}
+            {"p": 199, "h_gamma3": 9, "h_k3": 81, "u": 3, "c_gamma": [9], "c_k": [9, 9]}
         )
         + "\n"
     )
     code, out, _ = run(capsys, "table", "--fixtures", str(path))
     assert code == 2
     assert "FAIL" in out
+
+
+def test_table_fixture_whose_shapes_contradict_its_class_numbers_is_data_error(
+    tmp_path: Path, capsys
+):
+    path = tmp_path / "inconsistent.jsonl"
+    path.write_text(
+        json.dumps(
+            {"p": 199, "h_gamma3": 9, "h_k3": 27, "u": 1, "c_gamma": [3], "c_k": [27]}
+        )
+        + "\n"
+    )
+    code, out, err = run(capsys, "table", "--fixtures", str(path))
+    assert code == 2
+    assert out == ""
+    assert "line 1: c_gamma = Z/3 has order 3, not h_gamma3 = 9" in err
 
 
 def test_table_unreadable_fixture_is_data_error(tmp_path: Path, capsys):

@@ -111,8 +111,11 @@ def test_load_checks_optional_derived_fields(tmp_path: Path):
         ({"c_gamma": 9}, "c_gamma must be a list of cyclic orders"),
         ({"c_k": [3, 9]}, "orders (3, 9) must be non-increasing"),
         ([1, 2], "expected one JSON object per line"),
+        ({"c_gamma": [3], "c_k": [27]}, "c_gamma = Z/3 has order 3, not h_gamma3 = 9"),
+        ({"c_k": [9, 9]}, "c_k = Z/9 x Z/9 has order 81, not h_k3 = 27"),
     ],
-    ids=["extra-key", "c_gamma-not-a-list", "c_k-increasing", "not-an-object"],
+    ids=["extra-key", "c_gamma-not-a-list", "c_k-increasing", "not-an-object",
+         "c_gamma-order", "c_k-order"],
 )
 def test_load_rejects_bad_rows(tmp_path: Path, row, message: str):
     good = {"p": 199, "h_gamma3": 9, "h_k3": 27, "u": 1, "c_gamma": [9], "c_k": [9, 3]}
@@ -201,11 +204,12 @@ def test_reproduce_table_is_order_independent(tmp_path: Path):
 
 
 def test_reproduce_table_flags_corrupted_row(tmp_path: Path):
-    # u = 3 forces h_k3 = 81 for the row to load; classify then refuses it
+    # u = 3 forces h_k3 = 81 (so c_k of order 81) for the row to load;
+    # classify then refuses it
     path = tmp_path / "corrupt.jsonl"
     path.write_text(
         json.dumps(
-            {"p": 199, "h_gamma3": 9, "h_k3": 81, "u": 3, "c_gamma": [9], "c_k": [9, 3]}
+            {"p": 199, "h_gamma3": 9, "h_k3": 81, "u": 3, "c_gamma": [9], "c_k": [9, 9]}
         )
         + "\n"
     )
@@ -213,6 +217,25 @@ def test_reproduce_table_flags_corrupted_row(tmp_path: Path):
     assert not report.all_ok
     (result,) = report.results
     assert not result.ok
+    assert "expected certified" in result.message
+
+
+def test_reproduce_table_compares_the_certified_shape_with_c_k(tmp_path: Path):
+    # Z/3 x Z/3 x Z/3 has the order 27 = h_k3, so the row loads, but 199
+    # certifies as Z/9 x Z/3
+    path = tmp_path / "elementary.jsonl"
+    path.write_text(
+        json.dumps(
+            {"p": 199, "h_gamma3": 9, "h_k3": 27, "u": 1, "c_gamma": [9], "c_k": [3, 3, 3]}
+        )
+        + "\n"
+    )
+    (row,) = load_fixtures(path)
+    assert row.c_k.order == row.h_k3
+    report = reproduce_table(path)
+    (result,) = report.results
+    assert not result.ok and not report.all_ok
+    assert result.verdict.class_group == ClassGroupShape.of(9, 3)
     assert "expected certified" in result.message
 
 
