@@ -219,9 +219,10 @@ def reproduce_table(
         if ok:
             message = f"p = {row.p}: certified {verdict.class_group}"
         else:
+            got = "no certified shape" if verdict.class_group is None else verdict.class_group
             message = (
-                f"p = {row.p}: expected certified Z/9 x Z/3, got"
-                f" {verdict.status.value}; trace: " + " | ".join(verdict.trace)
+                f"p = {row.p}: expected certified {row.c_k}, got {got}"
+                f" ({verdict.status.value}); trace: " + " | ".join(verdict.trace)
             )
         if data_note:
             message += f" [{data_note}]"

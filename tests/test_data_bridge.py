@@ -236,7 +236,7 @@ def test_reproduce_table_compares_the_certified_shape_with_c_k(tmp_path: Path):
     (result,) = report.results
     assert not result.ok and not report.all_ok
     assert result.verdict.class_group == ClassGroupShape.of(9, 3)
-    assert "expected certified" in result.message
+    assert "expected certified Z/3 x Z/3 x Z/3, got Z/9 x Z/3 (certified_9_3)" in result.message
 
 
 # ------------------------------------------------------------------ CAS bridge
