@@ -7,7 +7,6 @@ verdict with the underlying arithmetic: Eisenstein factorizations, cubic
 residue symbols, ramification counts and genus numbers.
 """
 
-from .cas import CasConfig, CasError, CasResult, CasUnavailableError, cas_query
 from .classifier import (
     ClassGroupShape,
     EquivalenceResult,
@@ -42,10 +41,14 @@ from .eisenstein import (
     rational_cubic_symbol,
 )
 from .fixtures import (
+    CasConfig,
+    CasError,
+    CasUnavailableError,
     FixtureError,
     FixtureRow,
     TableReport,
     TableRowResult,
+    cas_query,
     load_bundled_fixtures,
     load_fixtures,
     reproduce_table,

@@ -71,6 +71,8 @@ TYPE_9_3 = ClassGroupShape.of(9, 3)
 CYCLIC_9 = ClassGroupShape.of(9)
 _CYCLIC_3 = ClassGroupShape.of(3)
 _ELEMENTARY_3_3 = ClassGroupShape.of(3, 3)
+#: the largest max_d of scan: its list holds about 0.7 KiB per radicand
+_SCAN_LIST_LIMIT = 10**6
 
 
 def hk_from_hgamma(h_gamma: int, u: int) -> int:
@@ -556,6 +558,11 @@ def scan(max_d: int) -> list[Verdict]:
 
     The candidate set is exactly {p, p^2 <= max_d : p prime, p = 1 (mod 9)}.
     The radicands come from a block sieve, so none is factored; a max_d
-    outside [2, 10^8] raises ValueError.
+    outside [2, _SCAN_LIST_LIMIT] raises ValueError before the sieve starts.
     """
+    if max_d > _SCAN_LIST_LIMIT:
+        raise ValueError(
+            f"scan bound must be <= {_SCAN_LIST_LIMIT}, got {max_d}: scan returns one"
+            " verdict per radicand; `cubic93 scan --max` streams bounds up to 10^8"
+        )
     return [_necessary_form(g) for g in _cube_free_forms(max_d)]

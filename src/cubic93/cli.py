@@ -15,10 +15,9 @@ import os
 import shlex
 import sys
 
-from .cas import CasConfig, CasError
 from .classifier import Verdict, _decision, _necessary_form, _signature, classify
 from .eisenstein import SplitKind, rational_cubic_symbol
-from .fixtures import FixtureError, reproduce_table
+from .fixtures import CasConfig, CasError, FixtureError, reproduce_table
 from .genus import _genus_from_form, format_cubic
 from .radicand import GerthForm, _cube_free_forms, normalize
 from .ramification import _ramify_from_form
@@ -219,7 +218,7 @@ def main(argv: list[str] | None = None) -> int:
         devnull = os.open(os.devnull, os.O_WRONLY)
         os.dup2(devnull, sys.stdout.fileno())
         return USAGE_ERROR
-    except (FixtureError, CasError) as exc:
+    except (FixtureError, CasError, ArithmeticError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return DATA_ERROR
     except ValueError as exc:

@@ -416,6 +416,21 @@ def test_scan_names_its_upper_bound():
         scan(10**8 + 1)
 
 
+def test_scan_refuses_a_list_that_would_not_fit_in_memory(monkeypatch):
+    # one verdict per radicand is about 0.7 KiB, so 10^6 is the bound;
+    # the check runs before the sieve, so this raises at once
+    monkeypatch.setattr(cubic93.classifier, "_cube_free_forms", lambda n: pytest.fail("sieved"))
+    with pytest.raises(ValueError, match=r"<= 1000000, got 1000001: .*`cubic93 scan"):
+        scan(10**6 + 1)
+
+
+def test_scan_bound_itself_passes(monkeypatch):
+    monkeypatch.setattr(cubic93.classifier, "_SCAN_LIST_LIMIT", 199)
+    assert scan(199)[-1].input_d == 199
+    with pytest.raises(ValueError, match="<= 199, got 200"):
+        scan(200)
+
+
 def test_scan_equals_the_per_radicand_pipeline():
     # the per-d loop scan ran before the block sieve, kept as the oracle
     limit = 30_000

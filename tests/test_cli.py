@@ -312,6 +312,34 @@ def test_commands_factor_the_radicand_once(capsys, factorize_calls, argv):
     assert factorize_calls == [int(argv[1])]
 
 
+def test_broken_invariant_is_a_data_error():
+    # a Z[w] splitting that loses a factor of a split prime breaks the
+    # cross-check of t in ramify, which raises ArithmeticError
+    code = (
+        "import sys\n"
+        "from dataclasses import replace\n"
+        "import cubic93.ramification as ramification\n"
+        "from cubic93.cli import main\n"
+        "real = ramification.factor_rational_prime\n"
+        "def one_factor(p):\n"
+        "    splitting = real(p)\n"
+        "    return replace(splitting, factors=splitting.factors[:1])\n"
+        "ramification.factor_rational_prime = one_factor\n"
+        "sys.exit(main(['ramify', '7']))\n"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", code],
+        env=subprocess_env(),
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert proc.returncode == 2, proc.stderr
+    assert "Traceback" not in proc.stderr, proc.stderr
+    (line,) = proc.stderr.splitlines()
+    assert line.startswith("error: ") and "t = 3" in line, line
+
+
 #: 10^30 + 57 is prime and lies above 3.3e24, where primality is not proven
 PRIME_ABOVE_RANGE = str(10**30 + 57)
 
@@ -383,4 +411,5 @@ def test_any_argv_ends_in_a_documented_exit_code(argv):
             code = main(argv)
         except SystemExit as exc:
             code = exc.code
-    assert code in (0, 1, 2), (argv, err.getvalue())
+    # none of these commands reads data, so exit 2 can only be a broken invariant
+    assert code in (0, 1), (argv, err.getvalue())

@@ -14,11 +14,14 @@ from pathlib import Path
 
 import pytest
 
-from cubic93.cas import CasConfig, CasError, CasUnavailableError, cas_query
 from cubic93.classifier import ClassGroupShape, hk_from_hgamma
 from cubic93.fixtures import (
+    CasConfig,
+    CasError,
+    CasUnavailableError,
     FixtureError,
     FixtureRow,
+    cas_query,
     load_bundled_fixtures,
     load_fixtures,
     reproduce_table,
@@ -263,7 +266,8 @@ def test_cas_query_parses_stub_transcript(tmp_path: Path):
     assert result.h_gamma3 == 9
     assert result.c_gamma == ClassGroupShape.of(9)
     assert result.c_k == ClassGroupShape.of(9, 3)
-    assert result.u_estimate == 1
+    assert result.u == 1
+    assert result == load_bundled_fixtures()[0]
 
 
 def test_cas_three_part_extraction(tmp_path: Path):
@@ -275,7 +279,7 @@ def test_cas_three_part_extraction(tmp_path: Path):
     result = cas_query(199, config)
     assert result.c_k == ClassGroupShape.of(9, 3)
     assert result.h_gamma3 == 9
-    assert result.u_estimate == 1
+    assert result.u == 1
 
 
 def test_cas_u_inference_rejects_impossible_data(tmp_path: Path):
@@ -330,6 +334,31 @@ def test_reproduce_table_with_cas_stub(tmp_path: Path):
     assert report.all_ok
     assert len(report.results) == 3
     assert all("CAS" in r.message for r in report.results)
+
+
+@pytest.mark.parametrize(
+    ("cubic", "sextic", "difference"),
+    [
+        ("[9]", "[27]", "c_k = Z/27 recomputed, Z/9 x Z/3 in the row"),
+        ("[3, 3]", "[9, 3]", "c_gamma = Z/3 x Z/3 recomputed, Z/9 in the row"),
+    ],
+    ids=["sextic-27", "cubic-3-3"],
+)
+def test_reproduce_table_fails_a_recomputed_row_that_differs(
+    tmp_path: Path, cubic: str, sextic: str, difference: str
+):
+    # both answers keep h_gamma3 = 9 and u = 1, so 199 still certifies as
+    # Z/9 x Z/3, but the recomputed row is not the fixture row
+    path = tmp_path / "199.jsonl"
+    save_fixtures(path, load_bundled_fixtures()[:1])
+    config = make_stub(
+        tmp_path,
+        f'import sys; sys.stdin.read(); print("CUBIC {cubic}"); print("SEXTIC {sextic}")',
+    )
+    report = reproduce_table(path, config)
+    (result,) = report.results
+    assert not result.ok and not report.all_ok
+    assert result.message.startswith(f"p = 199: {difference} [CAS: ")
 
 
 def test_reproduce_table_cas_unavailable_is_skipped(tmp_path: Path):
