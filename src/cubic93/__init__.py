@@ -41,7 +41,6 @@ from .eisenstein import (
     rational_cubic_symbol,
 )
 from .fixtures import (
-    CasConfig,
     CasError,
     CasUnavailableError,
     FixtureError,

@@ -17,7 +17,7 @@ import sys
 
 from .classifier import Verdict, _decision, _necessary_form, _signature, classify
 from .eisenstein import SplitKind, rational_cubic_symbol
-from .fixtures import CasConfig, CasError, FixtureError, reproduce_table
+from .fixtures import CasError, FixtureError, reproduce_table
 from .genus import _genus_from_form, format_cubic
 from .radicand import GerthForm, _cube_free_forms, normalize
 from .ramification import _ramify_from_form
@@ -163,8 +163,8 @@ def _cmd_symbol(args: argparse.Namespace) -> int:
 
 
 def _cmd_table(args: argparse.Namespace) -> int:
-    config = CasConfig(command=tuple(shlex.split(args.cas))) if args.cas else None
-    report = reproduce_table(args.fixtures, config)
+    command = None if args.cas is None else tuple(shlex.split(args.cas))
+    report = reproduce_table(args.fixtures, command)
     if report.skipped_reason is not None:
         print(f"table check skipped: {report.skipped_reason}")
         return 0

@@ -93,7 +93,8 @@ class EisensteinInt:
         return self.a == o.a and self.b == o.b
 
     def __hash__(self) -> int:
-        return hash((self.a, self.b))
+        # equal to an int when b == 0, so it must hash like that int
+        return hash(self.a) if self.b == 0 else hash((self.a, self.b))
 
     def conjugate(self) -> "EisensteinInt":
         """Complex conjugation w -> w^2, i.e. (a, b) -> (a - b, -b)."""

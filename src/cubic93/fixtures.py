@@ -18,10 +18,12 @@ x^3 - d and of the sextic field obtained by composing with x^2 + x + 1.  The
 orders h_gamma3 and h_k3.  gp does not report the unit index, so u is solved
 from h_k3 = (u/3) * h_gamma3^2, and data that admit no u in {1, 3} are
 rejected.  A recomputed row passes the table only if it equals the fixture
-row, field by field.  A missing executable raises CasUnavailableError, so
-that callers can degrade to a notice; anything else (timeout, bad exit,
-unparseable output) raises CasError.  One call is one subprocess, so
-separate calls may run concurrently.
+row, field by field.  An executable that does not exist raises
+CasUnavailableError, so that callers can degrade to a notice; one that
+cannot be started, runs longer than _CAS_TIMEOUT_S seconds, exits non-zero
+or prints unparseable output raises CasError; an empty command raises
+ValueError.  One call is one subprocess, so separate calls may run
+concurrently.
 """
 
 from __future__ import annotations
@@ -39,6 +41,8 @@ from .classifier import ClassGroupShape, Verdict, VerdictStatus, classify, hk_fr
 
 _FIELDS = ("p", "h_gamma3", "h_k3", "u", "c_gamma", "c_k")
 _BUNDLED = "data/type93_fixtures.jsonl"
+#: seconds one CAS call may run before it counts as failed
+_CAS_TIMEOUT_S = 120.0
 
 
 class FixtureError(ValueError):
@@ -135,7 +139,11 @@ def load_fixtures(path: str | Path) -> list[FixtureRow]:
     # Path("") is the current directory, so name the path as given
     if not path.is_file():
         raise FixtureError(f"fixture path {str(given)!r} is not a file")
-    return _parse_lines(path.read_text(encoding="utf-8"), str(path))
+    try:
+        text = path.read_text(encoding="utf-8")
+    except (OSError, UnicodeDecodeError) as exc:
+        raise FixtureError(f"cannot read fixture file {path}: {exc}") from exc
+    return _parse_lines(text, str(path))
 
 
 def load_bundled_fixtures() -> list[FixtureRow]:
@@ -164,17 +172,11 @@ def save_fixtures(path: str | Path, rows: Iterable[FixtureRow]) -> None:
 
 
 class CasError(RuntimeError):
-    """The CAS ran but did not produce a usable answer."""
+    """The CAS could not be started or did not produce a usable answer."""
 
 
 class CasUnavailableError(RuntimeError):
-    """The configured CAS executable cannot be started."""
-
-
-@dataclass(frozen=True)
-class CasConfig:
-    command: tuple[str, ...] = ("gp", "-q")
-    timeout: float = 120.0
+    """The CAS executable does not exist."""
 
 
 _CUBIC_TAG = "CUBIC"
@@ -205,20 +207,24 @@ def _parse_invariants(output: str, tag: str) -> list[int]:
     raise CasError(f"no '{tag}' line in CAS output: {output!r}")
 
 
-def cas_query(d: int, config: CasConfig) -> FixtureRow:
-    """The fixture row of the prime d, freshly computed by the CAS."""
+def cas_query(d: int, command: tuple[str, ...]) -> FixtureRow:
+    """The fixture row of the prime d, freshly computed by the gp command argv."""
+    if not command:
+        raise ValueError("CAS command is empty")
     try:
         proc = subprocess.run(
-            list(config.command),
+            list(command),
             input=_script(d),
             capture_output=True,
             text=True,
-            timeout=config.timeout,
+            timeout=_CAS_TIMEOUT_S,
         )
     except FileNotFoundError as exc:
         raise CasUnavailableError(f"CAS executable not found: {exc}") from exc
     except subprocess.TimeoutExpired as exc:
-        raise CasError(f"CAS timed out after {config.timeout}s for d = {d}") from exc
+        raise CasError(f"CAS timed out after {_CAS_TIMEOUT_S}s for d = {d}") from exc
+    except OSError as exc:
+        raise CasError(f"cannot start CAS command {' '.join(command)!r}: {exc}") from exc
     if proc.returncode != 0:
         raise CasError(
             f"CAS exited with {proc.returncode} for d = {d}: {proc.stderr.strip()}"
@@ -272,12 +278,12 @@ class TableReport:
 
 def reproduce_table(
     fixtures_path: str | Path | None = None,
-    cas_config: CasConfig | None = None,
+    cas_command: tuple[str, ...] | None = None,
 ) -> TableReport:
     """Re-certify every fixture row through classify().
 
     Rows come from fixtures_path, or from the bundled table when it is None.
-    Without a cas_config each row's own (h_gamma3, u) is fed back in; with
+    Without a cas_command each row's own (h_gamma3, u) is fed back in; with
     one, the external CAS recomputes the whole row first, and the row passes
     only if the recomputed row equals it.  A missing CAS executable yields a
     skipped report, never an exception.  A fixture file without rows raises
@@ -289,7 +295,7 @@ def reproduce_table(
     results: list[TableRowResult] = []
     for row in rows:
         try:
-            data = row if cas_config is None else cas_query(row.p, cas_config)
+            data = row if cas_command is None else cas_query(row.p, cas_command)
         except CasUnavailableError as exc:
             return TableReport(results=(), skipped_reason=str(exc))
         verdict = classify(row.p, data.h_gamma3, data.u)
@@ -312,7 +318,7 @@ def reproduce_table(
                 f"p = {row.p}: expected certified {row.c_k}, got {got}"
                 f" ({verdict.status.value}); trace: " + " | ".join(verdict.trace)
             )
-        if cas_config is not None:
+        if cas_command is not None:
             message += f" [CAS: h_gamma3 = {data.h_gamma3}, c_k = {data.c_k}, u inferred = {data.u}]"
         results.append(TableRowResult(p=row.p, ok=ok, message=message, verdict=verdict))
     return TableReport(results=tuple(results))

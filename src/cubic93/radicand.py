@@ -148,17 +148,6 @@ def gerth_decompose(d: int) -> GerthForm:
     return form
 
 
-def cube_free_sieve(limit: int) -> bytearray:
-    """flags[d] = 1 exactly for cube-free d, for 0 <= d <= limit."""
-    flags = bytearray(b"\x01") * (limit + 1)
-    c = 2
-    while c * c * c <= limit:
-        cube = c * c * c
-        flags[cube :: cube] = b"\x00" * (limit // cube)
-        c += 1
-    return flags
-
-
 def _cube_free_forms(limit: int) -> Iterator[GerthForm]:
     """normalize(d) for every cube-free 2 <= d <= limit, in ascending order.
 

@@ -22,8 +22,8 @@ from cubic93.classifier import (
     type93_equivalence,
 )
 from cubic93.eisenstein import CubicCharacterValue, rational_cubic_symbol
-from cubic93.radicand import cube_free_sieve
 from cubic93.ramification import ramify
+from oracles import cube_free_sieve
 
 LIMIT = 10_000
 

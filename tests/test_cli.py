@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import contextlib
+import errno
 import io
 import json
 import os
@@ -204,6 +205,41 @@ def test_table_cas_missing_is_notice_not_failure(capsys):
     code, out, _ = run(capsys, "table", "--cas", "/nonexistent/gp-binary -q")
     assert code == 0
     assert "skipped" in out
+
+
+def test_table_fixture_that_cannot_be_read_is_data_error(tmp_path: Path, capsys, monkeypatch):
+    path = tmp_path / "latin1.jsonl"
+    path.write_bytes(b"\xff\n")
+    code, out, err = run(capsys, "table", "--fixtures", str(path))
+    assert (code, out) == (2, "")
+    assert err == (
+        f"error: cannot read fixture file {path}: 'utf-8' codec can't decode"
+        " byte 0xff in position 0: invalid start byte\n"
+    )
+
+    def failing_read(self, *args, **kwargs):
+        raise OSError(errno.EIO, "Input/output error")
+
+    monkeypatch.setattr(Path, "read_text", failing_read)
+    code, out, err = run(capsys, "table", "--fixtures", str(path))
+    assert (code, out) == (2, "")
+    assert err == f"error: cannot read fixture file {path}: [Errno 5] Input/output error\n"
+
+
+@pytest.mark.parametrize("cas, code, message", [
+    ("", 1, "CAS command is empty"),
+    (" ", 1, "CAS command is empty"),
+    ("{dir}", 2, "cannot start CAS command '{dir}': [Errno 13] Permission denied: '{dir}'"),
+], ids=["empty", "blank", "directory"])
+def test_table_cas_that_cannot_run_is_one_error_line(tmp_path: Path, cas, code, message):
+    # an existing path that cannot be executed is a CAS failure, not a missing CAS
+    cas, message = (s.replace("{dir}", str(tmp_path)) for s in (cas, message))
+    proc = subprocess.run(
+        [sys.executable, "-m", "cubic93.cli", "table", "--cas", cas],
+        capture_output=True, text=True, env=subprocess_env(), timeout=120,
+    )
+    assert (proc.returncode, proc.stdout) == (code, "")
+    assert proc.stderr == f"error: {message}\n"
 
 
 def test_scan_text(capsys):

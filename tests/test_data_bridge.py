@@ -14,9 +14,9 @@ from pathlib import Path
 
 import pytest
 
+import cubic93.fixtures
 from cubic93.classifier import ClassGroupShape, hk_from_hgamma
 from cubic93.fixtures import (
-    CasConfig,
     CasError,
     CasUnavailableError,
     FixtureError,
@@ -245,10 +245,10 @@ def test_reproduce_table_compares_the_certified_shape_with_c_k(tmp_path: Path):
 # ------------------------------------------------------------------ CAS bridge
 
 
-def make_stub(tmp_path: Path, body: str) -> CasConfig:
+def make_stub(tmp_path: Path, body: str) -> tuple[str, ...]:
     script = tmp_path / "fake_gp.py"
     script.write_text(body)
-    return CasConfig(command=(sys.executable, str(script)), timeout=30.0)
+    return (sys.executable, str(script))
 
 
 GOOD_STUB = """\
@@ -261,8 +261,8 @@ print("SEXTIC [9, 3]")
 
 
 def test_cas_query_parses_stub_transcript(tmp_path: Path):
-    config = make_stub(tmp_path, GOOD_STUB)
-    result = cas_query(199, config)
+    command = make_stub(tmp_path, GOOD_STUB)
+    result = cas_query(199, command)
     assert result.h_gamma3 == 9
     assert result.c_gamma == ClassGroupShape.of(9)
     assert result.c_k == ClassGroupShape.of(9, 3)
@@ -272,58 +272,70 @@ def test_cas_query_parses_stub_transcript(tmp_path: Path):
 
 def test_cas_three_part_extraction(tmp_path: Path):
     # mixed invariants: 18 = 2 * 3^2 and 6 = 2 * 3 carry the 3-parts 9 and 3
-    config = make_stub(
+    command = make_stub(
         tmp_path,
         'import sys; sys.stdin.read(); print("CUBIC [9]"); print("SEXTIC [18, 6]")',
     )
-    result = cas_query(199, config)
+    result = cas_query(199, command)
     assert result.c_k == ClassGroupShape.of(9, 3)
     assert result.h_gamma3 == 9
     assert result.u == 1
 
 
 def test_cas_u_inference_rejects_impossible_data(tmp_path: Path):
-    config = make_stub(
+    command = make_stub(
         tmp_path,
         'import sys; sys.stdin.read(); print("CUBIC [9]"); print("SEXTIC [3]")',
     )
     with pytest.raises(CasError, match="no unit index"):
-        cas_query(199, config)
+        cas_query(199, command)
 
 
 @pytest.mark.parametrize("invariants", ["[0]", "[-9]"])
 def test_cas_rejects_non_positive_invariants(tmp_path: Path, invariants: str):
-    config = make_stub(
+    command = make_stub(
         tmp_path,
         'import sys; sys.stdin.read(); print("CUBIC [9]");'
         f' print("SEXTIC {invariants}")',
     )
     with pytest.raises(CasError, match="invariant"):
-        cas_query(199, config)
+        cas_query(199, command)
 
 
 def test_cas_missing_executable_is_unavailable():
-    config = CasConfig(command=("/nonexistent/gp-binary",), timeout=5.0)
     with pytest.raises(CasUnavailableError):
-        cas_query(199, config)
+        cas_query(199, ("/nonexistent/gp-binary",))
 
 
-def test_cas_timeout_is_an_error():
-    config = CasConfig((sys.executable, "-c", "import time; time.sleep(5)"), timeout=0.3)
+def test_cas_that_cannot_be_started_is_an_error(tmp_path: Path):
+    # a directory exists, so the CAS is not missing: it fails to start
+    with pytest.raises(CasError, match=re.escape(f"cannot start CAS command '{tmp_path}'")):
+        cas_query(199, (str(tmp_path),))
+
+
+def test_cas_empty_command_is_rejected():
+    with pytest.raises(ValueError, match="CAS command is empty"):
+        cas_query(199, ())
+    with pytest.raises(ValueError, match="CAS command is empty"):
+        reproduce_table(cas_command=())
+
+
+def test_cas_timeout_is_an_error(monkeypatch):
+    monkeypatch.setattr(cubic93.fixtures, "_CAS_TIMEOUT_S", 0.3)
     with pytest.raises(CasError, match="timed out"):
-        cas_query(199, config)
+        cas_query(199, (sys.executable, "-c", "import time; time.sleep(5)"))
 
 
 def test_cas_unparseable_output(tmp_path: Path):
-    config = make_stub(tmp_path, 'import sys; sys.stdin.read(); print("garbage")')
+    command = make_stub(tmp_path, 'import sys; sys.stdin.read(); print("garbage")')
     with pytest.raises(CasError, match="CUBIC"):
-        cas_query(199, config)
+        cas_query(199, command)
 
 
 def test_cas_nonzero_exit(tmp_path: Path):
-    config = make_stub(tmp_path, "import sys; sys.exit(3)")
+    command = make_stub(tmp_path, "import sys; sys.exit(3)")
     with pytest.raises(CasError, match="exited with 3"):
-        cas_query(199, config)
+        cas_query(199, command)
 
 
 def test_reproduce_table_with_cas_stub(tmp_path: Path):
@@ -351,18 +363,18 @@ def test_reproduce_table_fails_a_recomputed_row_that_differs(
     # Z/9 x Z/3, but the recomputed row is not the fixture row
     path = tmp_path / "199.jsonl"
     save_fixtures(path, load_bundled_fixtures()[:1])
-    config = make_stub(
+    command = make_stub(
         tmp_path,
         f'import sys; sys.stdin.read(); print("CUBIC {cubic}"); print("SEXTIC {sextic}")',
     )
-    report = reproduce_table(path, config)
+    report = reproduce_table(path, command)
     (result,) = report.results
     assert not result.ok and not report.all_ok
     assert result.message.startswith(f"p = 199: {difference} [CAS: ")
 
 
 def test_reproduce_table_cas_unavailable_is_skipped(tmp_path: Path):
-    report = reproduce_table(cas_config=CasConfig(command=("/nonexistent/gp-binary",)))
+    report = reproduce_table(cas_command=("/nonexistent/gp-binary",))
     assert report.skipped_reason is not None
     assert not report.all_ok
     assert "skipped" in report.summary

@@ -14,7 +14,7 @@ import random
 from math import isqrt
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from cubic93 import eisenstein
@@ -171,6 +171,13 @@ def test_int_coercion_in_arithmetic():
     assert 2 * z == EisensteinInt(4, 2)
     assert z - 2 == EisensteinInt(0, 1)
     assert z == z + 0 and EisensteinInt(5) == 5
+
+
+@given(st.integers())
+@example(3)
+def test_rational_values_hash_like_the_equal_int(n):
+    assert EisensteinInt(n) == n and hash(EisensteinInt(n)) == hash(n)
+    assert len({n, EisensteinInt(n)}) == 1
 
 
 def test_norm_values():

@@ -17,11 +17,11 @@ from cubic93.radicand import (
     GerthForm,
     _block_forms,
     _cube_free_forms,
-    cube_free_sieve,
     gerth_decompose,
     normalize,
 )
 from cubic93.ramification import ramify
+from oracles import cube_free_sieve
 
 LIMIT = 100_000
 

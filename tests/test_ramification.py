@@ -8,8 +8,8 @@ import pytest
 
 import cubic93.ramification
 from cubic93.eisenstein import SplitKind, factor_rational_prime
-from cubic93.radicand import cube_free_sieve
 from cubic93.ramification import QStar, ramify
+from oracles import cube_free_sieve
 
 LIMIT = 10_000
 
