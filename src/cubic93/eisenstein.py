@@ -4,7 +4,8 @@ The ring Z[w] with w^2 + w + 1 = 0 is Euclidean for the norm
 N(a + b*w) = a^2 - a*b + b^2, has exactly six units +-1, +-w, +-w^2, and a
 single prime lam = 1 - w above 3 (with 3 = -w^2 * lam^2).  A rational prime
 p != 3 splits as pi * conj(pi) when p = 1 (mod 3) and stays inert when
-p = 2 (mod 3).
+p = 2 (mod 3).  For split p, pi comes from p = x^2 + 3y^2, found on plain
+integers by Cornacchia's algorithm (Cohen, GTM 138, Alg. 1.5.2).
 
 Cubic residue characters follow the classical "primary" normalisation
 z = 2 (mod 3) of Ireland & Rosen (A Classical Introduction to Modern Number
@@ -279,17 +280,20 @@ def factor_rational_prime(p: int) -> PrimeSplitting:
 def _split_prime(p: int) -> EisensteinInt:
     """The canonical prime above a split p: primary with positive b."""
     # A square root of -3 mod p comes from a primitive cube root of unity z:
-    # (2z + 1)^2 = -3 (mod p).  Then gcd picks out one prime above p.
+    # (2z + 1)^2 = -3 (mod p).  Cornacchia's algorithm (Cohen, GTM 138,
+    # Alg. 1.5.2) turns it into p = x^2 + 3y^2: Euclid on (p, 2z + 1) stops
+    # at the first remainder x with x^2 <= p.  Then (x + y) + 2y*w has norm p.
     c = 2
     while True:
         z = pow(c, (p - 1) // 3, p)
         if z != 1:
             break
         c += 1
-    u = (2 * z + 1) % p
-    # u - (1 + 2w) is divisible by exactly one of the two primes above p
-    pi = gcd(EisensteinInt(p), EisensteinInt(u - 1, -2))
-    pi = primary_associate(pi)
+    r, x = p, (2 * z + 1) % p
+    while x * x > p:
+        r, x = x, r % x
+    y = isqrt((p - x * x) // 3)
+    pi = primary_associate(EisensteinInt(x + y, 2 * y))
     if pi.b < 0:
         pi = pi.conjugate()
     if pi.norm() != p:

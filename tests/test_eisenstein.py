@@ -3,13 +3,16 @@
 Brute-force oracles live at the top and deliberately avoid the library's
 own code paths: the split search enumerates norm equations directly, the
 residue oracle cubes every residue, and the associate oracle tries all six
-units.  The character and factorization oracles are the library's earlier
-slow paths, which work in Z[w] itself by Euclidean division; the library
-now computes both in the residue field Z[w]/(pi).
+units.  The character, factorization and split-prime oracles are the
+library's earlier slow paths, which work in Z[w] itself by Euclidean
+division; the library now computes the first two in the residue field
+Z[w]/(pi), and the prime above a split p by Cornacchia's algorithm on
+integers.
 """
 
 from __future__ import annotations
 
+import functools
 import random
 from math import isqrt
 
@@ -18,7 +21,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from cubic93 import eisenstein
-from cubic93._intmath import factorize
+from cubic93._intmath import _MR_LIMIT, factorize, is_prime
 from cubic93.eisenstein import (
     LAMBDA,
     OMEGA,
@@ -38,6 +41,7 @@ from cubic93.eisenstein import (
     primary_associate,
     rational_cubic_symbol,
 )
+from oracles import split_prime_by_gcd
 
 # ---------------------------------------------------------------- oracles
 
@@ -269,6 +273,59 @@ def test_split_agrees_with_norm_search_oracle():
         assert pi.norm() == p
         assert pi.a % 3 == 2 and pi.b % 3 == 0 and pi.b > 0
         assert is_associate(found, pi) or is_associate(found, pi_bar)
+
+
+def split_primes_from(start: int, count: int, step: int) -> list[int]:
+    """The first count primes p = 1 (mod 3) met stepping from start by +-1."""
+    out = []
+    n = start
+    while len(out) < count:
+        if n % 3 == 1 and is_prime(n):
+            out.append(n)
+        n += step
+    return out
+
+
+@functools.cache
+def cornacchia_test_primes() -> list[int]:
+    return (
+        [p for p in oracle_primes(20_000) if p % 3 == 1]
+        + [p for p in range(999_000, 1_000_000) if p % 3 == 1 and is_prime(p)]
+        + split_primes_from(10**8, 200, 1)
+        + split_primes_from(10**12, 20, 1)
+        + split_primes_from(_MR_LIMIT - 1, 5, -1)
+    )
+
+
+def test_split_prime_matches_the_gcd_oracle():
+    primes = cornacchia_test_primes()
+    assert len(primes) > 1300 and primes[-1] > 3.3e24
+    for p in primes:
+        pi = split_prime_by_gcd(p)
+        expected = PrimeSplitting(p, SplitKind.SPLIT, (pi, pi.conjugate()))
+        # __wrapped__ skips the cache, so every p runs the new path
+        assert factor_rational_prime.__wrapped__(p) == expected
+
+
+def test_split_prime_matches_sympy_cornacchia():
+    diophantine = pytest.importorskip("sympy.solvers.diophantine.diophantine")
+    for p in cornacchia_test_primes():
+        pi, pi_bar = factor_rational_prime.__wrapped__(p).factors
+        ((x, y),) = diophantine.cornacchia(1, 3, p)
+        found = EisensteinInt(int(x + y), int(2 * y))
+        assert is_associate(found, pi) or is_associate(found, pi_bar)
+
+
+def test_split_prime_raises_when_the_norm_is_wrong(monkeypatch):
+    # an ArithmeticError, not an assert, so the check also runs under -O
+    monkeypatch.setattr(eisenstein, "isqrt", lambda n: isqrt(n) + 1)
+    with pytest.raises(ArithmeticError, match=r"above 7 has norm"):
+        eisenstein._split_prime(7)
+
+
+def test_split_pins_a_prime_above_1e12():
+    # frozen from the gcd path that preceded Cornacchia's algorithm
+    assert factor_rational_prime(1000000000039).factors[0] == EisensteinInt(409553, 1139763)
 
 
 # --------------------------------------------------------- primary elements
