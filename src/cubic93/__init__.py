@@ -36,7 +36,6 @@ from .eisenstein import (
     cubic_character,
     factor,
     factor_rational_prime,
-    gcd,
     primary_associate,
     rational_cubic_symbol,
 )

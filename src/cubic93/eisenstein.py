@@ -5,7 +5,9 @@ N(a + b*w) = a^2 - a*b + b^2, has exactly six units +-1, +-w, +-w^2, and a
 single prime lam = 1 - w above 3 (with 3 = -w^2 * lam^2).  A rational prime
 p != 3 splits as pi * conj(pi) when p = 1 (mod 3) and stays inert when
 p = 2 (mod 3).  For split p, pi comes from p = x^2 + 3y^2, found on plain
-integers by Cornacchia's algorithm (Cohen, GTM 138, Alg. 1.5.2).
+integers by Cornacchia's algorithm (Cohen, GTM 138, Alg. 1.5.2).  `factor`
+also works on integer pairs: it divides each prime out exactly, and a
+nonzero remainder is an error, not a rounding.
 
 Cubic residue characters follow the classical "primary" normalisation
 z = 2 (mod 3) of Ireland & Rosen (A Classical Introduction to Modern Number
@@ -239,21 +241,18 @@ class PrimeSplitting:
     factors: tuple[EisensteinInt, ...]
 
 
-def gcd(x: EisensteinInt, y: EisensteinInt) -> EisensteinInt:
-    """A greatest common divisor of x and y (unique up to units)."""
-    while not y.is_zero:
-        x, y = y, x % y
-    return x
-
-
 def primary_associate(z: EisensteinInt) -> EisensteinInt:
     """The unique associate of z congruent to 2 (mod 3), i.e. with
     a = 2 and b = 0 (mod 3).  Requires N(z) coprime to 3."""
     if z.norm() % 3 == 0:
         raise ValueError(f"{z} has norm divisible by 3; no primary associate")
-    for cand in z.associates():
-        if cand.a % 3 == 2 and cand.b % 3 == 0:
-            return cand
+    # walk z, w*z, w^2*z on pairs: w*(a + b*w) = -b + (a - b)*w; the one
+    # with b = 0 (mod 3) has a = 1 or 2 (mod 3), and -1 turns 1 into 2
+    a, b = z.a, z.b
+    for _ in range(3):
+        if b % 3 == 0:
+            return EisensteinInt(a, b) if a % 3 == 2 else EisensteinInt(-a, -b)
+        a, b = -b, a - b
     raise AssertionError(f"no primary associate found for {z}")
 
 
@@ -335,11 +334,11 @@ def _residue_field(pi: EisensteinInt) -> tuple[int, int | None] | None:
     return None
 
 
-def _is_zero_mod(alpha: EisensteinInt, p: int, m: int | None) -> bool:
-    """alpha = 0 in the residue field (p, m) from _residue_field."""
+def _is_zero_mod(a: int, b: int, p: int, m: int | None) -> bool:
+    """a + b*w = 0 in the residue field (p, m) from _residue_field."""
     if m is None:
-        return alpha.a % p == 0 and alpha.b % p == 0
-    return (alpha.a + alpha.b * m) % p == 0
+        return a % p == 0 and b % p == 0
+    return (a + b * m) % p == 0
 
 
 def _split_character(x: int, p: int, m: int) -> CubicCharacterValue:
@@ -395,7 +394,7 @@ def cubic_character(alpha: EisensteinInt, pi: EisensteinInt) -> CubicCharacterVa
     p, m = field
     if p == 3:
         raise ValueError("the character is not defined at the prime above 3")
-    if _is_zero_mod(alpha, p, m):
+    if _is_zero_mod(alpha.a, alpha.b, p, m):
         return CubicCharacterValue.ZERO
     if m is None:
         return _inert_character(alpha, p)
@@ -438,22 +437,32 @@ def factor(z: EisensteinInt) -> EisensteinFactorization:
 
     Strategy: factor N(z) over Z (N(z) < 3.3e24), lift each rational prime
     through factor_rational_prime and divide out, testing divisibility in
-    the residue field of each prime.  Deterministic, with the factors
-    ordered by the underlying rational prime.
+    the residue field of each prime.  The division is exact, on integer
+    pairs, and a nonzero remainder raises ArithmeticError.  Deterministic,
+    with the factors ordered by the underlying rational prime.
     """
     if z.is_zero:
         raise ValueError("cannot factor 0")
-    remaining = z
+    a, b = z.a, z.b
     out: list[tuple[EisensteinInt, int]] = []
     for p, norm_exp in sorted(factorize(z.norm()).items()):
         splitting = factor_rational_prime(p)
         inert = splitting.kind is SplitKind.INERT
         total = 0
         for prime in splitting.factors:
+            c, d = prime.a, prime.b
+            n = prime.norm()
             m = None if inert else _omega_residue(prime, p)
             e = 0
-            while _is_zero_mod(remaining, p, m):
-                remaining = remaining // prime
+            while _is_zero_mod(a, b, p, m):
+                # (a + b*w) * ((c - d) - d*w), then divide both parts by n
+                qa, ra = divmod(a * (c - d) + b * d, n)
+                qb, rb = divmod(b * c - a * d, n)
+                if ra or rb:
+                    raise ArithmeticError(
+                        f"{prime} does not divide {EisensteinInt(a, b)} exactly, factoring {z}"
+                    )
+                a, b = qa, qb
                 e += 1
             if e:
                 out.append((prime, e))
@@ -461,6 +470,7 @@ def factor(z: EisensteinInt) -> EisensteinFactorization:
         # norm bookkeeping: split/ramified primes have norm p, inert norm p^2
         if total * (2 if inert else 1) != norm_exp:
             raise ArithmeticError(f"norm exponent mismatch at {p} while factoring {z}")
-    if not remaining.is_unit:
-        raise ArithmeticError(f"non-unit cofactor {remaining} left over factoring {z}")
-    return EisensteinFactorization(unit=remaining, factors=tuple(out))
+    unit = EisensteinInt(a, b)
+    if not unit.is_unit:
+        raise ArithmeticError(f"non-unit cofactor {unit} left over factoring {z}")
+    return EisensteinFactorization(unit=unit, factors=tuple(out))

@@ -2,7 +2,16 @@
 
 from __future__ import annotations
 
-from cubic93.eisenstein import EisensteinInt, gcd, primary_associate
+from cubic93._intmath import factorize
+from cubic93.eisenstein import (
+    EisensteinFactorization,
+    EisensteinInt,
+    SplitKind,
+    _is_zero_mod,
+    _omega_residue,
+    factor_rational_prime,
+    primary_associate,
+)
 
 
 def cube_free_sieve(limit: int) -> bytearray:
@@ -14,6 +23,13 @@ def cube_free_sieve(limit: int) -> bytearray:
         flags[cube :: cube] = b"\x00" * (limit // cube)
         c += 1
     return flags
+
+
+def gcd(x: EisensteinInt, y: EisensteinInt) -> EisensteinInt:
+    """A greatest common divisor of x and y (unique up to units)."""
+    while not y.is_zero:
+        x, y = y, x % y
+    return x
 
 
 def split_prime_by_gcd(p: int) -> EisensteinInt:
@@ -37,3 +53,33 @@ def split_prime_by_gcd(p: int) -> EisensteinInt:
     if pi.norm() != p:
         raise ArithmeticError(f"the prime {pi} found above {p} has norm {pi.norm()}")
     return pi
+
+
+def factor_by_divmod(z: EisensteinInt) -> EisensteinFactorization:
+    """Factor z != 0 into a unit and prime powers.
+
+    The library's earlier path: the same residue-field test, but each prime
+    is divided out by EisensteinInt floor division."""
+    if z.is_zero:
+        raise ValueError("cannot factor 0")
+    remaining = z
+    out: list[tuple[EisensteinInt, int]] = []
+    for p, norm_exp in sorted(factorize(z.norm()).items()):
+        splitting = factor_rational_prime(p)
+        inert = splitting.kind is SplitKind.INERT
+        total = 0
+        for prime in splitting.factors:
+            m = None if inert else _omega_residue(prime, p)
+            e = 0
+            while _is_zero_mod(remaining.a, remaining.b, p, m):
+                remaining = remaining // prime
+                e += 1
+            if e:
+                out.append((prime, e))
+            total += e
+        # norm bookkeeping: split/ramified primes have norm p, inert norm p^2
+        if total * (2 if inert else 1) != norm_exp:
+            raise ArithmeticError(f"norm exponent mismatch at {p} while factoring {z}")
+    if not remaining.is_unit:
+        raise ArithmeticError(f"non-unit cofactor {remaining} left over factoring {z}")
+    return EisensteinFactorization(unit=remaining, factors=tuple(out))

@@ -7,7 +7,8 @@ units.  The character, factorization and split-prime oracles are the
 library's earlier slow paths, which work in Z[w] itself by Euclidean
 division; the library now computes the first two in the residue field
 Z[w]/(pi), and the prime above a split p by Cornacchia's algorithm on
-integers.
+integers.  `factor` divides exactly on integer pairs, and
+`oracles.factor_by_divmod` keeps its earlier EisensteinInt division.
 """
 
 from __future__ import annotations
@@ -37,11 +38,10 @@ from cubic93.eisenstein import (
     cubic_character,
     factor,
     factor_rational_prime,
-    gcd,
     primary_associate,
     rational_cubic_symbol,
 )
-from oracles import split_prime_by_gcd
+from oracles import factor_by_divmod, gcd, split_prime_by_gcd
 
 # ---------------------------------------------------------------- oracles
 
@@ -340,16 +340,18 @@ def test_primary_associate_frozen_examples():
 
 
 def test_primary_associate_unique_among_the_six():
-    rng = random.Random(1)
     count = 0
-    while count < 300:
-        z = EisensteinInt(rng.randint(-50, 50), rng.randint(-50, 50))
-        if z.is_zero or z.norm() % 3 == 0:
-            continue
-        count += 1
-        primaries = [u * z for u in UNITS if (u * z).a % 3 == 2 and (u * z).b % 3 == 0]
-        assert len(primaries) == 1
-        assert primary_associate(z) == primaries[0]
+    for a in range(-60, 61):
+        for b in range(-60, 61):
+            z = EisensteinInt(a, b)
+            if z.norm() % 3 == 0:
+                continue
+            count += 1
+            primaries = [u * z for u in UNITS if (u * z).a % 3 == 2 and (u * z).b % 3 == 0]
+            assert len(primaries) == 1
+            assert primary_associate(z) == primaries[0]
+    # N(z) = (a + b)^2 (mod 3), so 41^2 + 2 * 40^2 of the 121^2 pairs drop out
+    assert count == 121 * 121 - 41 * 41 - 2 * 40 * 40
 
 
 def congruent_to(z: EisensteinInt, other: EisensteinInt, modulus: EisensteinInt) -> bool:
@@ -636,6 +638,54 @@ def test_factor_rejects_a_wrong_splitting(monkeypatch):
     )
     with pytest.raises(ArithmeticError, match="norm exponent mismatch"):
         factor(EisensteinInt(21))
+
+
+def factor_oracle_inputs() -> list[EisensteinInt]:
+    """The box |a|, |b| <= 40, random z of norm up to 1e8, products of small
+    prime powers, and random z of norm near 1e14."""
+    box = [EisensteinInt(a, b) for a in range(-40, 41) for b in range(-40, 41)]
+    rng = random.Random(20)
+    medium: list[EisensteinInt] = []
+    while len(medium) < 2000:
+        z = EisensteinInt(rng.randint(-11547, 11547), rng.randint(-11547, 11547))
+        if 0 < z.norm() <= 10**8:
+            medium.append(z)
+    products = []
+    for q in (2, 5, 11):
+        for p in (7, 13):
+            pi, pi_bar = factor_rational_prime(p).factors
+            for i in range(4):
+                for j in range(4):
+                    for k in range(4):
+                        for l in range(4):
+                            base = LAMBDA**i * EisensteinInt(q) ** j * pi**k * pi_bar**l
+                            products += [unit * base for unit in UNITS]
+    large = []
+    while len(large) < 20:
+        z = EisensteinInt(rng.randint(-(10**7), 10**7), rng.randint(-(10**7), 10**7))
+        if 10**14 // 2 <= z.norm() <= 2 * 10**14:
+            large.append(z)
+    return [z for z in box + medium + products + large if not z.is_zero]
+
+
+def test_factor_matches_the_divmod_oracle():
+    inputs = factor_oracle_inputs()
+    assert len(inputs) == 81 * 81 - 1 + 2000 + 3 * 2 * 4**4 * 6 + 20
+    for z in inputs:
+        assert factor(z) == factor_by_divmod(z), z
+
+
+def test_factor_raises_when_a_prime_does_not_divide_exactly(monkeypatch):
+    # 2*pi has the residue field of pi, so the residue test passes at 7, but
+    # 7 / (2*pi) = conj(pi)/2 is not in Z[w]; a raise, so it also runs under -O
+    real = eisenstein.factor_rational_prime
+    pi, pi_bar = real(7).factors
+    wrong = PrimeSplitting(7, SplitKind.SPLIT, (2 * pi, pi_bar))
+    monkeypatch.setattr(
+        eisenstein, "factor_rational_prime", lambda p: wrong if p == 7 else real(p)
+    )
+    with pytest.raises(ArithmeticError, match=r"4\+6w does not divide 7 exactly"):
+        factor(EisensteinInt(7))
 
 
 def test_gcd_divides_both():
