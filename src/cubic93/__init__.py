@@ -50,7 +50,6 @@ from .fixtures import (
     load_bundled_fixtures,
     load_fixtures,
     reproduce_table,
-    save_fixtures,
 )
 from .genus import (
     GenusReport,

@@ -57,10 +57,6 @@ class ClassGroupShape:
     def order(self) -> int:
         return math.prod(self.orders)
 
-    @property
-    def is_type_9_3(self) -> bool:
-        return self.orders == (9, 3)
-
     def __str__(self) -> str:
         if not self.orders:
             return "trivial"
@@ -118,7 +114,7 @@ def type93_equivalence(
     if direction == "forward":
         if c_k is None:
             raise ValueError("forward direction needs the sextic shape c_k")
-        if not c_k.is_type_9_3:
+        if c_k != TYPE_9_3:
             return EquivalenceResult(
                 applicable=False,
                 consistent=True,

@@ -24,7 +24,7 @@ from dataclasses import dataclass
 from enum import Enum
 from functools import lru_cache
 from math import isqrt
-from typing import Iterator, Union
+from typing import Union
 
 from ._intmath import factorize, is_prime as _is_rational_prime
 
@@ -154,11 +154,6 @@ class EisensteinInt:
             n >>= 1
         return result
 
-    def associates(self) -> Iterator["EisensteinInt"]:
-        """The six unit multiples of this element."""
-        for u in UNITS:
-            yield u * self
-
     def is_prime(self) -> bool:
         """True for primes of Z[w]: norm a rational prime, or a unit multiple
         of an inert rational prime q = 2 (mod 3)."""
@@ -211,14 +206,6 @@ class CubicCharacterValue(Enum):
         if CubicCharacterValue.ZERO in (self, other):
             return CubicCharacterValue.ZERO
         return CubicCharacterValue.from_exponent(self.exponent + other.exponent)
-
-    def as_element(self) -> EisensteinInt:
-        return {
-            CubicCharacterValue.ZERO: ZERO,
-            CubicCharacterValue.ONE: ONE,
-            CubicCharacterValue.OMEGA: OMEGA,
-            CubicCharacterValue.OMEGA_SQUARED: OMEGA_SQUARED,
-        }[self]
 
 
 class SplitKind(Enum):

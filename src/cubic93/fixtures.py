@@ -5,8 +5,8 @@ cubic field has 3-class number exactly 9 and whose sextic field has unit
 index u = 1; for each of them the sextic 3-class group is Z/9 x Z/3.
 
 Fixture files are JSON Lines: one object per row with the fields
-p, h_gamma3, h_k3, u, c_gamma, c_k.  Saving uses a canonical field order so
-that a load/save round trip is byte-identical.  Every value must be a JSON
+p, h_gamma3, h_k3, u, c_gamma, c_k, and optionally p_squared and p_mod9,
+which must then equal p^2 and p mod 9.  Every value must be a JSON
 integer (a list of them for c_gamma and c_k); floats, strings and booleans
 are rejected rather than coerced.
 
@@ -34,7 +34,6 @@ import subprocess
 from dataclasses import dataclass
 from importlib import resources
 from pathlib import Path
-from typing import Iterable
 
 from ._intmath import is_prime, three_part
 from .classifier import ClassGroupShape, Verdict, VerdictStatus, classify, hk_from_hgamma
@@ -150,25 +149,6 @@ def load_bundled_fixtures() -> list[FixtureRow]:
     """The table shipped with the package."""
     text = resources.files(__package__).joinpath(_BUNDLED).read_text(encoding="utf-8")
     return _parse_lines(text, "bundled table")
-
-
-def _row_to_json(row: FixtureRow) -> str:
-    return json.dumps(
-        {
-            "p": row.p,
-            "h_gamma3": row.h_gamma3,
-            "h_k3": row.h_k3,
-            "u": row.u,
-            "c_gamma": list(row.c_gamma.orders),
-            "c_k": list(row.c_k.orders),
-        }
-    )
-
-
-def save_fixtures(path: str | Path, rows: Iterable[FixtureRow]) -> None:
-    """Write rows in the canonical format (one JSON object per line)."""
-    text = "".join(_row_to_json(row) + "\n" for row in rows)
-    Path(path).write_text(text, encoding="utf-8")
 
 
 class CasError(RuntimeError):

@@ -1,6 +1,11 @@
-"""Slow, obviously correct reference implementations shared by the tests."""
+"""Slow, obviously correct reference implementations shared by the tests.
+
+pytest does not rewrite this module and python -O strips asserts, so a
+broken invariant here raises instead of failing an assert."""
 
 from __future__ import annotations
+
+from math import isqrt
 
 from cubic93._intmath import factorize
 from cubic93.eisenstein import (
@@ -12,6 +17,33 @@ from cubic93.eisenstein import (
     factor_rational_prime,
     primary_associate,
 )
+
+
+def is_prime_by_trial_division(n: int) -> bool:
+    return n >= 2 and all(n % f for f in range(2, isqrt(n) + 1))
+
+
+def primes_below(limit: int) -> list[int]:
+    return [n for n in range(2, limit) if is_prime_by_trial_division(n)]
+
+
+def factorize_by_trial_division(n: int) -> dict[int, int]:
+    """Prime factorization of n >= 1 by trial division (2, 3, then 6k +- 1)."""
+    out: dict[int, int] = {}
+    for p in (2, 3):
+        while n % p == 0:
+            out[p] = out.get(p, 0) + 1
+            n //= p
+    f = 5
+    while f * f <= n:
+        for p in (f, f + 2):
+            while n % p == 0:
+                out[p] = out.get(p, 0) + 1
+                n //= p
+        f += 6
+    if n > 1:
+        out[n] = out.get(n, 0) + 1
+    return out
 
 
 def cube_free_sieve(limit: int) -> bytearray:

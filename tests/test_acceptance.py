@@ -30,6 +30,7 @@ from cubic93.eisenstein import (
 from cubic93.fixtures import load_bundled_fixtures
 from cubic93.genus import period_polynomial
 from cubic93.ramification import ramify
+from oracles import primes_below
 
 
 @contextmanager
@@ -46,10 +47,6 @@ def criterion(number: int, description: str, budget_seconds: float | None = None
             f"criterion {number} took {elapsed:.2f}s, budget {budget_seconds}s"
         )
     print(f"ACCEPTANCE {number} PASS: {description} ({elapsed:.2f}s)")
-
-
-def small_primes(limit: int) -> list[int]:
-    return [n for n in range(2, limit) if all(n % f for f in range(2, isqrt(n) + 1))]
 
 
 def test_criterion_1_table_reproduction():
@@ -69,7 +66,7 @@ def test_criterion_2_candidate_scan_matches_sieve():
         limit = 10_000
         expected = {
             x
-            for p in small_primes(limit + 1)
+            for p in primes_below(limit + 1)
             if p % 9 == 1
             for x in (p, p * p)
             if x <= limit
@@ -84,7 +81,7 @@ def test_criterion_2_candidate_scan_matches_sieve():
 
 def test_criterion_3_cubic_symbol_oracle():
     with criterion(3, "symbol agrees with brute force for p < 2000, a in {2,3,5,7}", 10.0):
-        for p in small_primes(2000):
+        for p in primes_below(2000):
             if p % 3 != 1:
                 continue
             cubes = {pow(x, 3, p) for x in range(1, p)}
@@ -105,7 +102,7 @@ def test_criterion_4_residue_facts():
 def test_criterion_5_cubic_reciprocity():
     with criterion(5, "chi_theta(pi) = chi_pi(theta) for primary primes, norms < 1000", 10.0):
         primaries: list[EisensteinInt] = []
-        for p in small_primes(1000):
+        for p in primes_below(1000):
             if p % 3 == 1:
                 primaries.extend(factor_rational_prime(p).factors)
             elif p % 3 == 2 and p * p < 1000:
@@ -146,7 +143,7 @@ def test_criterion_7_genus_invariants():
             cosets = (cubes, [n * t % p for t in cubes], [n * n * t % p for t in cubes])
             return [fsum(cos(2 * pi * t / p) for t in coset) for coset in cosets]
 
-        for p in small_primes(500):
+        for p in primes_below(500):
             if p % 3 != 1:
                 continue
             one, c2, c1, c0 = period_polynomial(p)

@@ -2,8 +2,6 @@
 
 from __future__ import annotations
 
-from math import isqrt
-
 import pytest
 
 import cubic93.classifier
@@ -23,13 +21,9 @@ from cubic93.classifier import (
 )
 from cubic93.eisenstein import CubicCharacterValue, rational_cubic_symbol
 from cubic93.ramification import ramify
-from oracles import cube_free_sieve
+from oracles import cube_free_sieve, primes_below
 
 LIMIT = 10_000
-
-
-def small_primes(limit: int) -> list[int]:
-    return [n for n in range(2, limit) if all(n % f for f in range(2, isqrt(n) + 1))]
 
 
 # ------------------------------------------------------------------ h relation
@@ -50,23 +44,6 @@ def test_hk_from_hgamma_errors():
         hk_from_hgamma(0, 1)
 
 
-def test_hk_exactly_27_only_at_nine_one():
-    def v3(n: int) -> int:
-        k = 0
-        while n % 3 == 0:
-            n //= 3
-            k += 1
-        return k
-
-    hits = [
-        (h, u)
-        for h in (3, 9, 27)
-        for u in (1, 3)
-        if v3(hk_from_hgamma(h, u)) == 3
-    ]
-    assert hits == [(9, 1)]
-
-
 # ----------------------------------------------------------------- equivalence
 
 
@@ -84,12 +61,6 @@ def test_equivalence_backward():
     assert res.applicable and res.consistent
     assert res.c_k == ClassGroupShape.of(9, 3)
     assert any("27" in line for line in res.trace)
-
-
-def test_equivalence_round_trip():
-    fwd = type93_equivalence("forward", c_k=ClassGroupShape.of(9, 3))
-    back = type93_equivalence("backward", c_gamma=fwd.c_gamma, u=fwd.u)
-    assert back.c_k == ClassGroupShape.of(9, 3)
 
 
 def test_equivalence_not_applicable_off_type():
@@ -227,7 +198,7 @@ def test_exclusion_residual_two_prime_residues():
 
 
 def test_soundness_against_independent_filter():
-    primes = set(small_primes(LIMIT + 1))
+    primes = set(primes_below(LIMIT + 1))
     expected = {
         x
         for p in primes

@@ -25,8 +25,14 @@ from cubic93.fixtures import (
     load_bundled_fixtures,
     load_fixtures,
     reproduce_table,
-    save_fixtures,
 )
+
+
+def bundled_lines() -> list[str]:
+    """The lines of the bundled fixture file, each with its newline."""
+    bundled = Path(cubic93.fixtures.__file__).parent / cubic93.fixtures._BUNDLED
+    return bundled.read_text(encoding="utf-8").splitlines(keepends=True)
+
 
 # ------------------------------------------------------------------- fixtures
 
@@ -165,26 +171,6 @@ def test_load_missing_file(tmp_path: Path):
         load_fixtures(tmp_path / "nope.jsonl")
 
 
-def test_save_load_round_trip_is_byte_identical(tmp_path: Path):
-    rows = load_bundled_fixtures()
-    first = tmp_path / "a.jsonl"
-    second = tmp_path / "b.jsonl"
-    save_fixtures(first, rows)
-    reloaded = load_fixtures(first)
-    assert reloaded == rows
-    save_fixtures(second, reloaded)
-    assert first.read_bytes() == second.read_bytes()
-
-
-def test_bundled_file_is_in_canonical_save_format(tmp_path: Path):
-    import cubic93
-
-    bundled = Path(cubic93.__file__).parent / "data" / "type93_fixtures.jsonl"
-    resaved = tmp_path / "resaved.jsonl"
-    save_fixtures(resaved, load_bundled_fixtures())
-    assert resaved.read_bytes() == bundled.read_bytes()
-
-
 # ------------------------------------------------------------ table reproduction
 
 
@@ -196,14 +182,13 @@ def test_reproduce_table_from_fixtures():
 
 
 def test_reproduce_table_is_order_independent(tmp_path: Path):
-    rows = load_bundled_fixtures()
-    shuffled = rows[:]
-    random.Random(11).shuffle(shuffled)
+    lines = bundled_lines()
+    random.Random(11).shuffle(lines)
     path = tmp_path / "shuffled.jsonl"
-    save_fixtures(path, shuffled)
+    path.write_text("".join(lines))
     report = reproduce_table(path)
     assert report.all_ok
-    assert {r.p for r in report.results} == {r.p for r in rows}
+    assert {r.p for r in report.results} == {r.p for r in load_bundled_fixtures()}
 
 
 def test_reproduce_table_flags_corrupted_row(tmp_path: Path):
@@ -339,9 +324,8 @@ def test_cas_nonzero_exit(tmp_path: Path):
 
 
 def test_reproduce_table_with_cas_stub(tmp_path: Path):
-    rows = load_bundled_fixtures()[:3]
     path = tmp_path / "three.jsonl"
-    save_fixtures(path, rows)
+    path.write_text("".join(bundled_lines()[:3]))
     report = reproduce_table(path, make_stub(tmp_path, GOOD_STUB))
     assert report.all_ok
     assert len(report.results) == 3
@@ -362,7 +346,7 @@ def test_reproduce_table_fails_a_recomputed_row_that_differs(
     # both answers keep h_gamma3 = 9 and u = 1, so 199 still certifies as
     # Z/9 x Z/3, but the recomputed row is not the fixture row
     path = tmp_path / "199.jsonl"
-    save_fixtures(path, load_bundled_fixtures()[:1])
+    path.write_text(bundled_lines()[0])
     command = make_stub(
         tmp_path,
         f'import sys; sys.stdin.read(); print("CUBIC {cubic}"); print("SEXTIC {sextic}")',

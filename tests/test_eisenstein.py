@@ -41,7 +41,13 @@ from cubic93.eisenstein import (
     primary_associate,
     rational_cubic_symbol,
 )
-from oracles import factor_by_divmod, gcd, split_prime_by_gcd
+from oracles import (
+    factor_by_divmod,
+    gcd,
+    is_prime_by_trial_division,
+    primes_below,
+    split_prime_by_gcd,
+)
 
 # ---------------------------------------------------------------- oracles
 
@@ -60,10 +66,6 @@ def oracle_split(p: int) -> tuple[int, int]:
 
 def oracle_is_cubic_residue(a: int, p: int) -> bool:
     return any(pow(x, 3, p) == a % p for x in range(1, p))
-
-
-def oracle_primes(limit: int) -> list[int]:
-    return [n for n in range(2, limit) if all(n % f for f in range(2, isqrt(n) + 1))]
 
 
 def is_associate(x: EisensteinInt, y: EisensteinInt) -> bool:
@@ -88,12 +90,12 @@ def oracle_cubic_character(alpha: EisensteinInt, pi: EisensteinInt) -> CubicChar
     if pi.divides(alpha):
         return CubicCharacterValue.ZERO
     r = oracle_pow_mod(alpha, (pi.norm() - 1) // 3, pi)
-    for value in (
-        CubicCharacterValue.ONE,
-        CubicCharacterValue.OMEGA,
-        CubicCharacterValue.OMEGA_SQUARED,
+    for value, element in (
+        (CubicCharacterValue.ONE, ONE),
+        (CubicCharacterValue.OMEGA, OMEGA),
+        (CubicCharacterValue.OMEGA_SQUARED, OMEGA_SQUARED),
     ):
-        if pi.divides(r - value.as_element()):
+        if pi.divides(r - element):
             return value
     raise AssertionError(f"chi_{pi}({alpha}) did not land on a cube root of unity")
 
@@ -114,15 +116,11 @@ def oracle_factor(z: EisensteinInt) -> EisensteinFactorization:
     return EisensteinFactorization(unit=remaining, factors=tuple(out))
 
 
-def oracle_is_prime(n: int) -> bool:
-    return n >= 2 and all(n % f for f in range(2, isqrt(n) + 1))
-
-
 def oracle_split_primes(lo: int, hi: int) -> list[EisensteinInt]:
     """Both primes above each split p in [lo, hi), from the norm search."""
     out = []
     for p in range(lo, hi):
-        if p % 3 == 1 and oracle_is_prime(p):
+        if p % 3 == 1 and is_prime_by_trial_division(p):
             a, b = oracle_split(p)
             out += [EisensteinInt(a, b), EisensteinInt(a, b).conjugate()]
     return out
@@ -265,7 +263,7 @@ def test_factor_rational_prime_rejects_composites():
 
 
 def test_split_agrees_with_norm_search_oracle():
-    for p in [q for q in oracle_primes(500) if q % 3 == 1]:
+    for p in [q for q in primes_below(500) if q % 3 == 1]:
         a, b = oracle_split(p)
         found = EisensteinInt(a, b)
         s = factor_rational_prime(p)
@@ -289,7 +287,7 @@ def split_primes_from(start: int, count: int, step: int) -> list[int]:
 @functools.cache
 def cornacchia_test_primes() -> list[int]:
     return (
-        [p for p in oracle_primes(20_000) if p % 3 == 1]
+        [p for p in primes_below(20_000) if p % 3 == 1]
         + [p for p in range(999_000, 1_000_000) if p % 3 == 1 and is_prime(p)]
         + split_primes_from(10**8, 200, 1)
         + split_primes_from(10**12, 20, 1)
@@ -377,7 +375,7 @@ def is_one_mod_lambda_cubed(z: EisensteinInt) -> bool:
 
 def test_one_mod_three_associate_and_lambda_cubed():
     # for split p the 1-mod-3 associate is 1 mod lam^3 exactly when p = 1 (mod 9)
-    for p in [q for q in oracle_primes(1000) if q % 3 == 1]:
+    for p in [q for q in primes_below(1000) if q % 3 == 1]:
         pi = factor_rational_prime(p).factors[0]
         z = one_mod_three_associate(pi)
         assert congruent_to(z, ONE, EisensteinInt(3))
@@ -520,7 +518,7 @@ def test_symbol_rejects_bad_inputs():
 
 
 def test_symbol_matches_brute_force_small():
-    for p in [q for q in oracle_primes(300) if q % 3 == 1]:
+    for p in [q for q in primes_below(300) if q % 3 == 1]:
         for a in (2, 3, 5, 7):
             if a % p == 0:
                 continue
@@ -530,7 +528,7 @@ def test_symbol_matches_brute_force_small():
 
 
 def test_symbol_agrees_with_character_at_prime_above_p():
-    for p in [q for q in oracle_primes(200) if q % 3 == 1]:
+    for p in [q for q in primes_below(200) if q % 3 == 1]:
         pi = factor_rational_prime(p).factors[0]
         for a in (2, 3, 5, 7, 10):
             if a % p == 0:
@@ -543,7 +541,7 @@ def test_symbol_agrees_with_character_at_prime_above_p():
 
 def primary_primes_with_norm_below(bound: int) -> list[EisensteinInt]:
     out = []
-    for p in oracle_primes(bound):
+    for p in primes_below(bound):
         if p % 3 == 1:
             out.extend(factor_rational_prime(p).factors)
         elif p % 3 == 2 and p * p < bound:

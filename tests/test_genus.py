@@ -22,6 +22,7 @@ from cubic93.genus import (
     genus_number,
     period_polynomial,
 )
+from oracles import primes_below
 
 EXPECTED_7 = (1, 1, -2, -1)
 EXPECTED_13 = (1, 1, -4, 1)
@@ -53,10 +54,6 @@ def is_square(n: int) -> bool:
 
 def cubic_disc(c2: int, c1: int, c0: int) -> int:
     return 18 * c2 * c1 * c0 - 4 * c2**3 * c0 + c2**2 * c1**2 - 4 * c1**3 - 27 * c0**2
-
-
-def small_primes(limit: int) -> list[int]:
-    return [n for n in range(2, limit) if all(n % f for f in range(2, isqrt(n) + 1))]
 
 
 # --------------------------------------------------------------- genus number
@@ -107,7 +104,7 @@ def test_period_polynomial_rejects_wrong_primes():
 
 
 def test_period_polynomial_against_numeric_oracle():
-    for p in [q for q in small_primes(500) if q % 3 == 1]:
+    for p in [q for q in primes_below(500) if q % 3 == 1]:
         one, c2, c1, c0 = period_polynomial(p)
         assert one == 1
         for eta in oracle_periods(p):
@@ -128,14 +125,14 @@ def test_period_polynomial_against_mpmath_oracle():
     """The 40-digit mpmath period sum that used to run inside period_polynomial."""
     mpmath = pytest.importorskip("mpmath")
     with mpmath.workdps(40):
-        for p in [q for q in small_primes(500) if q % 3 == 1]:
+        for p in [q for q in primes_below(500) if q % 3 == 1]:
             _, c2, c1, c0 = period_polynomial(p)
             for eta in oracle_periods(p, mpmath):
                 assert abs(((eta + c2) * eta + c1) * eta + c0) < mpmath.mpf(10) ** -30, p
 
 
 def test_exact_check_agrees_with_closed_form_below_20000():
-    for p in [q for q in small_primes(20_000) if q % 3 == 1]:
+    for p in [q for q in primes_below(20_000) if q % 3 == 1]:
         # __wrapped__ bypasses the cache, so the exact check runs for every p
         assert period_polynomial.__wrapped__(p) == closed_form(p)[0], p
 
@@ -180,7 +177,7 @@ def test_exact_check_modulus_exceeds_coefficient_bound(p):
     """A cubic off by a prime q = 1 (mod p) below the bound agrees mod q only."""
     one, c2, c1, c0 = period_polynomial(p)
     bound = 2 * (1 + (p - 1) // 3) ** 3
-    for q in [q for q in small_primes(bound + 1) if q % p == 1]:
+    for q in [q for q in primes_below(bound + 1) if q % p == 1]:
         with pytest.raises(ArithmeticError):
             _verify_periods(p, (one, c2, c1, c0 + q))
         with pytest.raises(ArithmeticError):

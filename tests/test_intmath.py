@@ -13,40 +13,17 @@ that rho finds hardest.
 from __future__ import annotations
 
 import random
-from math import isqrt
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cubic93._intmath import factorize, is_prime, three_part
+from oracles import factorize_by_trial_division, is_prime_by_trial_division
 
 #: is_prime and factorize are proven below this bound, the least strong
 #: pseudoprime to the first 13 prime bases
 MR_LIMIT = 3317044064679887385961981
-
-
-def oracle_is_prime(n: int) -> bool:
-    return n >= 2 and all(n % f for f in range(2, isqrt(n) + 1))
-
-
-def oracle_factorize(n: int) -> dict[int, int]:
-    """Prime factorization of n >= 1 by trial division (2, 3, then 6k +- 1)."""
-    out: dict[int, int] = {}
-    for p in (2, 3):
-        while n % p == 0:
-            out[p] = out.get(p, 0) + 1
-            n //= p
-    f = 5
-    while f * f <= n:
-        for p in (f, f + 2):
-            while n % p == 0:
-                out[p] = out.get(p, 0) + 1
-                n //= p
-        f += 6
-    if n > 1:
-        out[n] = out.get(n, 0) + 1
-    return out
 
 
 #: least strong pseudoprimes to the first 1, 2, 3, 4, 5, 6, 8 and 11 prime bases
@@ -72,7 +49,7 @@ def chernick_carmichael(count: int) -> list[int]:
     out, k = [], 1
     while len(out) < count:
         factors = (6 * k + 1, 12 * k + 1, 18 * k + 1)
-        if all(oracle_is_prime(f) for f in factors):
+        if all(is_prime_by_trial_division(f) for f in factors):
             out.append(factors[0] * factors[1] * factors[2])
         k += 1
     return out
@@ -80,20 +57,20 @@ def chernick_carmichael(count: int) -> list[int]:
 
 def test_matches_trial_division_up_to_2e5():
     for n in range(-5, 200_001):
-        assert is_prime(n) == oracle_is_prime(n), n
+        assert is_prime(n) == is_prime_by_trial_division(n), n
 
 
 @pytest.mark.parametrize("switch", [50_000, 90_000, 1_000_000, 1373653, 25326001, 3215031751])
 def test_matches_trial_division_around_switch_points(switch):
     for n in range(switch - 1500, switch + 1500):
-        assert is_prime(n) == oracle_is_prime(n), n
+        assert is_prime(n) == is_prime_by_trial_division(n), n
 
 
 def test_strong_pseudoprimes_are_composite():
     for n in STRONG_PSEUDOPRIMES + (PSI_12,):
         assert not is_prime(n), n
     for n in STRONG_PSEUDOPRIMES[:4]:
-        assert not oracle_is_prime(n)
+        assert not is_prime_by_trial_division(n)
 
 
 def test_carmichael_numbers_are_composite():
@@ -133,14 +110,14 @@ def test_matches_sympy_on_large_inputs():
 def test_factorize_matches_trial_division_up_to_2e5():
     for n in range(1, 200_001):
         fac = factorize(n)
-        assert fac == oracle_factorize(n), n
+        assert fac == factorize_by_trial_division(n), n
         assert list(fac) == sorted(fac), n
 
 
 @settings(max_examples=60, deadline=None)
 @given(st.integers(1, 10**12 - 1))
 def test_factorize_matches_trial_division_below_1e12(n):
-    assert factorize(n) == oracle_factorize(n)
+    assert factorize(n) == factorize_by_trial_division(n)
 
 
 def test_factorize_rejects_non_positive():

@@ -9,22 +9,9 @@ import pytest
 import cubic93.ramification
 from cubic93.eisenstein import SplitKind, factor_rational_prime
 from cubic93.ramification import QStar, ramify
-from oracles import cube_free_sieve
+from oracles import cube_free_sieve, factorize_by_trial_division
 
 LIMIT = 10_000
-
-
-def oracle_factor(n: int) -> dict[int, int]:
-    out: dict[int, int] = {}
-    f = 2
-    while f * f <= n:
-        while n % f == 0:
-            out[f] = out.get(f, 0) + 1
-            n //= f
-        f += 1
-    if n > 1:
-        out[n] = out.get(n, 0) + 1
-    return out
 
 
 def test_gamma_ramified_examples():
@@ -87,7 +74,7 @@ def test_t_identity_exhaustive():
         if not flags[d]:
             continue
         rep = ramify(d)
-        fac = oracle_factor(d)
+        fac = factorize_by_trial_division(d)
         split = sum(1 for p in fac if p % 3 == 1)
         inert = sum(1 for p in fac if p % 3 == 2)
         three = 3 in fac or d % 9 not in (1, 8)
