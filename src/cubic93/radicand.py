@@ -30,7 +30,8 @@ from typing import NamedTuple
 from ._intmath import factorize, is_prime
 
 #: the largest bound _cube_free_forms accepts: `cubic93 scan --max 10^8`
-#: took 205 s (CPython 3.11, 2-vCPU Xeon), and the time grows linearly
+#: took 205-375 s (CPython 3.11, 2-vCPU Xeons of one host type, in sessions
+#: up to 2x apart), and the time grows linearly
 _SCAN_LIMIT = 10**8
 #: radicands per block of that sieve; a block is all it holds in memory
 _BLOCK = 1 << 16

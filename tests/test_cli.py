@@ -7,6 +7,7 @@ import errno
 import io
 import json
 import os
+import shlex
 import subprocess
 import sys
 from pathlib import Path
@@ -242,6 +243,27 @@ def test_table_cas_that_cannot_run_is_one_error_line(tmp_path: Path, cas, code, 
     assert proc.stderr == f"error: {message}\n"
 
 
+@pytest.mark.parametrize("sextic, code, out", [
+    ("[9, 3]", 0,
+     "PASS  p = 199: certified Z/9 x Z/3 [CAS: h_gamma3 = 9, c_k = Z/9 x Z/3, u inferred = 1]\n"
+     "1/1 rows certified as type (9, 3)\n"),
+    ("[27]", 2,  # still h_gamma3 = 9 and u = 1, but c_k differs from the row
+     "FAIL  p = 199: c_k = Z/27 recomputed, Z/9 x Z/3 in the row"
+     " [CAS: h_gamma3 = 9, c_k = Z/27, u inferred = 1]\n"
+     "0/1 rows certified as type (9, 3)\n"),
+], ids=["same", "differs"])
+def test_table_row_recomputed_by_a_stand_in_cas(tmp_path: Path, capsys, sextic, code, out):
+    row = tmp_path / "row.jsonl"
+    row.write_text(
+        json.dumps({"p": 199, "h_gamma3": 9, "h_k3": 27, "u": 1, "c_gamma": [9], "c_k": [9, 3]})
+        + "\n"
+    )
+    stub = tmp_path / "gp.py"
+    stub.write_text(f"import sys\nsys.stdin.read()\nprint('CUBIC [9]')\nprint('SEXTIC {sextic}')\n")
+    cas = shlex.join([sys.executable, "-S", str(stub)])
+    assert run(capsys, "table", "--fixtures", str(row), "--cas", cas) == (code, out, "")
+
+
 def test_scan_text(capsys):
     code, out, _ = run(capsys, "scan", "--max", "200")
     assert code == 0
@@ -279,13 +301,18 @@ def test_scan_into_a_closed_pipe_exits_quietly():
 
 
 def test_scan_memory_stays_flat():
-    # the scan streams its radicands, so memory holds one sieve block
+    # the scan streams its radicands, so memory holds one sieve block; the
+    # child reads its own VmHWM, as its ru_maxrss keeps the parent's peak
+    # across exec on Linux
+    if not Path("/proc/self/status").is_file():
+        pytest.skip("no /proc/self/status to read the peak RSS from")
     code = (
-        "import os, resource, sys\n"
+        "import os, sys\n"
         "from cubic93.cli import main\n"
         "sys.stdout = open(os.devnull, 'w')\n"
         "code = main(['scan', '--max', '300000'])\n"
-        "print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss, file=sys.stderr)\n"
+        "with open('/proc/self/status') as status:\n"
+        "    print(next(line for line in status if line.startswith('VmHWM:')), file=sys.stderr)\n"
         "sys.exit(code)\n"
     )
     proc = subprocess.run(
@@ -296,35 +323,13 @@ def test_scan_memory_stays_flat():
         timeout=120,
     )
     assert proc.returncode == 0, proc.stderr
-    peak_mib = int(proc.stderr.split()[-1]) / 1024  # ru_maxrss is in KiB on Linux
-    assert peak_mib < 100, peak_mib
+    peak_mib = int(proc.stderr.split()[-2]) / 1024  # "VmHWM:  27648 kB"
+    assert peak_mib < 64, peak_mib
 
 
 def test_import_does_not_load_mpmath():
     code = "import cubic93, sys; assert 'mpmath' not in sys.modules"
     subprocess.run([sys.executable, "-c", code], env=subprocess_env(), check=True, timeout=120)
-
-
-def test_commands_run_with_mpmath_blocked():
-    code = (
-        "import sys\n"
-        "sys.modules['mpmath'] = None\n"
-        "from cubic93.cli import main\n"
-        "for argv in (['genus', '455'], ['genus', '1000003'], ['classify', '199'],\n"
-        "             ['decompose', '24'], ['ramify', '42'], ['symbol', '2', '31'],\n"
-        "             ['table'], ['scan', '--max', '200']):\n"
-        "    assert main(argv) == 0, argv\n"
-    )
-    proc = subprocess.run(
-        [sys.executable, "-c", code],
-        env=subprocess_env(),
-        capture_output=True,
-        text=True,
-        timeout=120,
-    )
-    assert proc.returncode == 0, proc.stderr
-    assert "M(7): x^3 + x^2 - 2x - 1" in proc.stdout
-    assert "M(1000003): x^3 + x^2 - 333334x - 37259371" in proc.stdout
 
 
 def test_period_check_raises_without_asserts():
@@ -374,33 +379,6 @@ def test_broken_invariant_is_a_data_error():
     assert "Traceback" not in proc.stderr, proc.stderr
     (line,) = proc.stderr.splitlines()
     assert line.startswith("error: ") and "t = 3" in line, line
-
-
-#: 10^30 + 57 is prime and lies above 3.3e24, where primality is not proven
-PRIME_ABOVE_RANGE = str(10**30 + 57)
-
-
-@pytest.mark.parametrize("argv, want", [
-    (["classify", "100000000000000000039"], 0),  # a prime near 1e20
-    (["classify", PRIME_ABOVE_RANGE], 1),
-    (["symbol", "2", PRIME_ABOVE_RANGE], 1),
-    (["genus", "1000000000039"], 1),  # its period check tests numbers near 7e34
-], ids=["classify-1e20", "classify-1e30", "symbol-1e30", "genus-1e12"])
-def test_large_inputs_finish_or_name_the_bound(argv, want):
-    # a generous timeout rather than a wall-clock assert, as hosts are noisy;
-    # trial division ran for hours on each of these
-    proc = subprocess.run(
-        [sys.executable, "-m", "cubic93.cli", *argv],
-        env=subprocess_env(),
-        capture_output=True,
-        text=True,
-        timeout=120,
-    )
-    assert proc.returncode == want, proc.stderr
-    assert "Traceback" not in proc.stderr, proc.stderr
-    if want:
-        (line,) = proc.stderr.splitlines()
-        assert line.startswith("error: ") and "3.3e24" in line, line
 
 
 #: integers of every size plus the values where the arithmetic changes regime

@@ -7,21 +7,29 @@ range (and, for the data step, the repr of every equivalence result),
 recorded from an earlier version of the library; a rejected input
 contributes the repr of its ValueError.  The CLI table pins what each
 command prints: a sha256 over the JSON list [exit code, stdout, stderr]
-of the command run in-process.
+of the command run as its own process under ``python -S``, with no
+site-packages on the path, so every pinned command also shows that the
+CLI runs on the standard library alone.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
+import os
 import shlex
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import cubic93
 from cubic93.classifier import ClassGroupShape, classify, scan, type93_equivalence
-from cubic93.cli import main
 
-SCAN_20000 = "e81d1d282c573c299dceca8d652463213feecc275a4d1d3f03ffd5314cce538e"
+#: this checkout's src directory, the only entry the CLI processes get on their path
+SRC = str(Path(cubic93.__file__).resolve().parents[1])
+
 SCAN_200000 = "de65cfaf438485af3f124c59e7aad2305abf5b6151414686a37dfcea95763a63"
 CLASSIFY_2_TO_3000 = "3fb91f8764b28a077a2497a448fc3a462b56601d3421d6ec561d8db26a5fa7df"
 DATA_STEP = "19e649a6cda8b0c94cb935169278b84aec7da12ed3b03370488b000aa6ad06a2"
@@ -48,22 +56,23 @@ CLI_OUTPUT = {
     "genus 1000003": "ff2db09cdd6b205f9db774ac74a4bfce58f0ea09c52f300ad616051885386402",
     "classify 42 --json": "08b1894148e637fbf4fb53a534eb7006b1447e81beaa851ccde511a158eb4e58",
     "scan --max 200000 --json": "58844fe2931dd595e2b7d4a4ea6f1af66804dca9d1cb10853dc479b5ced81555",
+    "classify 199": "5afe804c27dc0b3316e7e71a1e827497133d311a2ce70be308107f2aa267d786",
+    "decompose 24": "dcc760cbb140d90cfdf8adec4e86d0a3a1041a719a1c5f9c56b588bf38f8e343",
+    "symbol 2 31": "57dc9dd58308576d2064f35b5d61612019258f6adac2074a67a72e4c32acbc81",
+    "scan --max 200": "331e8858e6b5ae9ec9e01c9cd41c51b7195a6776313c4e338c504ad28a6a0335",
+    "symbol 2 1000000000000000000000000000057": "3f60561b9b3d84a397160e743b79b70bbfe04d58aa239657f4b6fca9acd73bdf",
 }
 
 
 @pytest.mark.parametrize("command", CLI_OUTPUT)
-def test_cli_output_is_unchanged(command, capsys):
-    code = main(shlex.split(command))
-    captured = capsys.readouterr()
-    digest = hashlib.sha256(json.dumps([code, captured.out, captured.err]).encode())
-    assert digest.hexdigest() == CLI_OUTPUT[command]
-
-
-def test_scan_verdict_text_is_unchanged():
-    h = hashlib.sha256()
-    for v in scan(20000):
-        h.update(json.dumps(v.to_json_dict()).encode() + b"\n")
-    assert h.hexdigest() == SCAN_20000
+def test_cli_output_is_unchanged(command):
+    proc = subprocess.run(
+        [sys.executable, "-S", "-m", "cubic93.cli", *shlex.split(command)],
+        env={**os.environ, "PYTHONPATH": SRC},
+        capture_output=True, encoding="utf-8", timeout=120,
+    )
+    digest = hashlib.sha256(json.dumps([proc.returncode, proc.stdout, proc.stderr]).encode())
+    assert digest.hexdigest() == CLI_OUTPUT[command], proc.stderr
 
 
 def test_scan_200000_verdict_text_is_unchanged():
