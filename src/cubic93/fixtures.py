@@ -5,10 +5,9 @@ cubic field has 3-class number exactly 9 and whose sextic field has unit
 index u = 1; for each of them the sextic 3-class group is Z/9 x Z/3.
 
 Fixture files are JSON Lines: one object per row with the fields
-p, h_gamma3, h_k3, u, c_gamma, c_k, and optionally p_squared and p_mod9,
-which must then equal p^2 and p mod 9.  Every value must be a JSON
-integer (a list of them for c_gamma and c_k); floats, strings and booleans
-are rejected rather than coerced.
+p, h_gamma3, h_k3, u, c_gamma, c_k, and no others.  Every value must be a
+JSON integer (a list of them for c_gamma and c_k); floats, strings and
+booleans are rejected rather than coerced.
 
 The class data were computed with PARI/GP, and cas_query recomputes a row
 when a gp binary is available.  Its gp script, written to the subprocess's
@@ -75,7 +74,7 @@ def _parse_row(line: str) -> FixtureRow:
     missing = [k for k in _FIELDS if k not in record]
     if missing:
         raise ValueError(f"missing fields {missing}")
-    unknown = [k for k in record if k not in _FIELDS + ("p_squared", "p_mod9")]
+    unknown = [k for k in record if k not in _FIELDS]
     if unknown:
         raise ValueError(f"unknown fields {unknown}")
     for key in ("c_gamma", "c_k"):
@@ -88,8 +87,6 @@ def _parse_row(line: str) -> FixtureRow:
     )
     c_gamma = ClassGroupShape(gamma_orders)
     c_k = ClassGroupShape(k_orders)
-    p_squared = _integer(record.get("p_squared", p * p), "p_squared")
-    p_mod9 = _integer(record.get("p_mod9", p % 9), "p_mod9")
     # is_prime raises ValueError for p above the range where primality is proven
     if not is_prime(p):
         raise ValueError(f"p = {p} is not prime")
@@ -104,10 +101,6 @@ def _parse_row(line: str) -> FixtureRow:
             raise ValueError(
                 f"{key} = {shape} has order {shape.order}, not {h} = {record[h]}"
             )
-    if p_squared != p * p:
-        raise ValueError("p_squared != p^2")
-    if p_mod9 != p % 9:
-        raise ValueError("p_mod9 != p mod 9")
     return FixtureRow(
         p=p,
         h_gamma3=h_gamma3,

@@ -10,20 +10,21 @@ with L = 1 (mod 3), the three periods are the roots of
 
     x^3 + x^2 - ((p - 1)/3) x - (p(L + 3) - 1)/27,
 
-a classical consequence of the cubic Gauss sum evaluation.  Before being
-returned, the coefficients are checked exactly against the periods
-themselves, reduced modulo a large prime ell = 1 (mod p), so a wrong branch
-in the (L, M) search cannot slip through silently.  Everything is integer
-arithmetic; no floating point and no third-party package is involved.
+a classical consequence of the cubic Gauss sum evaluation.  L = 2a - b and
+M = b/3 come from the primary prime pi = a + b*w above p in Z[w] and are
+checked against 4p = L^2 + 27M^2.  Before being returned, the coefficients
+are checked exactly against the periods themselves, reduced modulo a large
+prime ell = 1 (mod p).  Everything is integer arithmetic; no floating point
+and no third-party package is involved.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from math import isqrt
 
 from ._intmath import factorize, is_prime
+from .eisenstein import factor_rational_prime
 from .radicand import GerthForm, gerth_decompose
 
 Cubic = tuple[int, int, int, int]
@@ -39,19 +40,6 @@ def genus_number(d: int) -> tuple[int, int]:
     return r, 3**r
 
 
-def _gauss_sum_parameters(p: int) -> tuple[int, int]:
-    """The unique (L, M) with 4p = L^2 + 27 M^2, L = 1 (mod 3), M > 0."""
-    for m in range(1, isqrt(4 * p // 27) + 1):
-        rest = 4 * p - 27 * m * m
-        root = isqrt(rest)
-        if root * root == rest:
-            if root % 3 == 1:
-                return root, m
-            if (-root) % 3 == 1:
-                return -root, m
-    raise ArithmeticError(f"no decomposition 4*{p} = L^2 + 27M^2 found")
-
-
 @lru_cache(maxsize=None)
 def period_polynomial(p: int) -> Cubic:
     """Monic integer cubic with the Gaussian periods of Q(zeta_p) as roots.
@@ -62,7 +50,14 @@ def period_polynomial(p: int) -> Cubic:
     """
     if not is_prime(p) or p % 3 != 1:
         raise ValueError(f"need a prime p = 1 (mod 3), got {p}")
-    big_l, _ = _gauss_sum_parameters(p)
+    # pi = a + b*w is primary (a = 2, b = 0 mod 3) of norm p, and
+    # 4p = (2a - b)^2 + 3b^2, so L = 2a - b and M = b/3 (Ireland & Rosen, ch. 9)
+    pi = factor_rational_prime(p).factors[0]
+    big_l, big_m = 2 * pi.a - pi.b, pi.b // 3
+    if 4 * p != big_l * big_l + 27 * big_m * big_m or big_l % 3 != 1:
+        raise ArithmeticError(
+            f"the prime {pi} above {p} gives no 4p = L^2 + 27M^2 with L = 1 (mod 3)"
+        )
     if (p * (big_l + 3) - 1) % 27 != 0:
         raise ArithmeticError(f"constant term for p = {p} is not integral")
     coeffs: Cubic = (1, 1, -(p - 1) // 3, -(p * (big_l + 3) - 1) // 27)

@@ -10,11 +10,13 @@ from __future__ import annotations
 
 import math
 import random
+import re
 from math import isqrt
 
 import pytest
 
 import cubic93.genus
+from cubic93.eisenstein import OMEGA, PrimeSplitting, SplitKind, factor_rational_prime
 from cubic93.genus import (
     _verify_periods,
     format_cubic,
@@ -185,25 +187,23 @@ def test_exact_check_modulus_exceeds_coefficient_bound(p):
 
 
 @pytest.mark.parametrize(
-    "shift, message",
+    "wrong",
     [
-        # -L breaks integrality of the constant term; L + 27 keeps it
-        # integral, so only the period check can catch it
-        (lambda big_l: -big_l, "not integral"),
-        (lambda big_l: big_l + 27, "does not vanish"),
+        lambda pi: -pi,  # primary up to sign: L = 2 (mod 3)
+        lambda pi: OMEGA * pi,  # 3 does not divide b, so 27M^2 != 3b^2
+        lambda pi: factor_rational_prime(19).factors[0],  # norm 19, not p
     ],
-    ids=["negated", "plus_27"],
+    ids=["negated", "times_omega", "other_norm"],
 )
-def test_wrong_gauss_sum_parameters_raise(monkeypatch, shift, message):
-    real = cubic93.genus._gauss_sum_parameters
+def test_wrong_prime_above_p_raises(monkeypatch, wrong):
+    def wrong_splitting(p: int) -> PrimeSplitting:
+        pi = wrong(factor_rational_prime(p).factors[0])
+        return PrimeSplitting(p, SplitKind.SPLIT, (pi, pi.conjugate()))
 
-    def wrong(p: int) -> tuple[int, int]:
-        big_l, big_m = real(p)
-        return shift(big_l), big_m
-
-    monkeypatch.setattr(cubic93.genus, "_gauss_sum_parameters", wrong)
+    monkeypatch.setattr(cubic93.genus, "factor_rational_prime", wrong_splitting)
     for p in (7, 13, 31, 1009):
-        with pytest.raises(ArithmeticError, match=message):
+        pi = wrong_splitting(p).factors[0]
+        with pytest.raises(ArithmeticError, match=rf"the prime {re.escape(str(pi))} above {p}\b"):
             period_polynomial.__wrapped__(p)
 
 

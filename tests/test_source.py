@@ -1,22 +1,68 @@
-"""Rules that the library's source files keep, checked on their syntax trees."""
+"""Rules that the repository keeps: on the library's syntax trees, on its
+size, and on the files that git tracks."""
 
 from __future__ import annotations
 
 import ast
+import os
+import re
+import shutil
+import subprocess
+import sys
 from pathlib import Path
+
+import pytest
 
 import cubic93
 import oracles
 
+PACKAGE = Path(cubic93.__file__).resolve().parent
+# what building, testing and running leave behind (see .gitignore)
+BUILD_ARTIFACT = re.compile(
+    r"(^|/)(__pycache__|[^/]*\.egg-info|\.pytest_cache|\.hypothesis)/|^perfbench/out/|\.pyc$"
+)
+
 
 def test_no_assert_in_the_library_or_the_oracles():
-    # python -O strips assert statements, and pytest rewrites only test
-    # modules, so an invariant in these files must raise instead
-    files = sorted(Path(cubic93.__file__).parent.glob("*.py")) + [Path(oracles.__file__)]
-    asserts = [
+    # python -O strips assert statements and turns __debug__ off, and pytest
+    # rewrites only test modules, so an invariant in these files must raise
+    # instead, and no code there may run differently under -O
+    files = sorted(PACKAGE.glob("*.py")) + [Path(oracles.__file__)]
+    found = [
         f"{path.name}:{node.lineno}"
         for path in files
         for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
-        if isinstance(node, ast.Assert)
+        if isinstance(node, ast.Assert) or (isinstance(node, ast.Name) and node.id == "__debug__")
     ]
-    assert len(files) > 1 and asserts == []
+    assert len(files) > 1 and found == []
+
+
+def test_source_stays_below_2400_lines_and_62_public_names():
+    # lines as `wc -l` counts them; names in a fresh `python -S` process,
+    # since this one has also imported the cli submodule
+    lines = sum(path.read_bytes().count(b"\n") for path in PACKAGE.glob("*.py"))
+    names = subprocess.run(
+        [sys.executable, "-S", "-c",
+         "import cubic93; print(len([k for k in vars(cubic93) if not k.startswith('_')]))"],
+        env={**os.environ, "PYTHONPATH": str(PACKAGE.parent)},
+        capture_output=True, encoding="utf-8", timeout=120, check=True,
+    )
+    assert lines < 2400
+    assert int(names.stdout) <= 62
+
+
+def test_git_tracks_no_build_artifacts():
+    root = Path(__file__).resolve().parents[1]
+    if shutil.which("git") is None:
+        pytest.skip("git is not installed")
+    inside = subprocess.run(
+        ["git", "-C", str(root), "rev-parse", "--is-inside-work-tree"],
+        capture_output=True, encoding="utf-8", timeout=120,
+    )
+    if inside.stdout.strip() != "true":
+        pytest.skip(f"{root} is not a git work tree")
+    tracked = subprocess.run(
+        ["git", "-C", str(root), "ls-files", "-z"],
+        capture_output=True, encoding="utf-8", timeout=120, check=True,
+    ).stdout.split("\0")
+    assert [path for path in tracked if BUILD_ARTIFACT.search(path)] == []
