@@ -85,9 +85,10 @@ class GerthForm(NamedTuple):
     def b(self) -> int:
         """The product of the primes that divide d exactly twice."""
         out = 3 if self.e == 2 else 1
-        for p, e in self.split_primes + self.inert_primes:
-            if e == 2:
-                out *= p
+        for primes in self[2:]:
+            for p, e in primes:
+                if e == 2:
+                    out *= p
         return out
 
     @property
@@ -173,10 +174,10 @@ def _block_forms(lo: int, hi: int, primes: list[int]) -> Iterator[GerthForm]:
     """normalize(d) for every cube-free lo <= d < hi, given 2 <= lo and every
     prime up to max(isqrt(hi - 1), 3) in ascending order.
 
-    Each prime is divided out of its multiples and appended to their
-    class, as (p, 2) at a multiple of p^2; a multiple of p^3 is dropped.
-    What is left of a radicand is then 1 or one prime above isqrt(hi - 1),
-    the largest, with exponent 1.
+    Each prime is divided out of its multiples and, except 3, appended to
+    their class, as (p, 2) at a multiple of p^2; 3 only sets e.  A multiple
+    of p^3 is dropped.  What is left of a radicand is then 1 or one prime
+    above isqrt(hi - 1), the largest, with exponent 1.
     """
     n = hi - lo
     rest = list(range(lo, hi))
@@ -187,12 +188,15 @@ def _block_forms(lo: int, hi: int, primes: list[int]) -> Iterator[GerthForm]:
         p2, p3 = p * p, p * p * p
         i1, i2, i3 = -lo % p, -lo % p2, -lo % p3
         cube_free[i3::p3] = bytes(len(range(i3, n, p3)))
-        if p == 3:  # 3 counts in e, and its pairs go to a list never read
+        if p == 3:  # 3 counts in e and in no class
             e3[i1::3] = b"\x01" * len(range(i1, n, 3))
             e3[i2::9] = b"\x02" * len(range(i2, n, 9))
-            fac = [()] * n
-        else:
-            fac = classes[_CLASS_OF[p % 9]]
+            for i in range(i1, n, 3):
+                rest[i] //= 3
+            for i in range(i2, n, 9):
+                rest[i] //= 3
+            continue
+        fac = classes[_CLASS_OF[p % 9]]
         once, twice = ((p, 1),), ((p, 2),)
         for i in range(i1, n, p):
             rest[i] //= p

@@ -8,7 +8,16 @@ from __future__ import annotations
 from math import isqrt
 
 from cubic93._intmath import factorize
+from cubic93.classifier import (
+    _CYCLIC_3,
+    _ELEMENTARY_3_3,
+    Reason,
+    ReasonCode,
+    Verdict,
+    _decision,
+)
 from cubic93.eisenstein import (
+    CubicCharacterValue,
     EisensteinFactorization,
     EisensteinInt,
     SplitKind,
@@ -16,7 +25,9 @@ from cubic93.eisenstein import (
     _omega_residue,
     factor_rational_prime,
     primary_associate,
+    rational_cubic_symbol,
 )
+from cubic93.radicand import GerthForm
 
 
 def is_prime_by_trial_division(n: int) -> bool:
@@ -115,3 +126,52 @@ def factor_by_divmod(z: EisensteinInt) -> EisensteinFactorization:
     if not remaining.is_unit:
         raise ArithmeticError(f"non-unit cofactor {remaining} left over factoring {z}")
     return EisensteinFactorization(unit=remaining, factors=tuple(out))
+
+
+def necessary_form_by_properties(g: GerthForm) -> Verdict:
+    """The verdict for a cube-free form, read through the GerthForm properties.
+
+    The library's earlier path: split_primes and inert_primes are rebuilt by
+    concatenation for the signature, the factor text and each named prime."""
+    split, inert = g.split_primes, g.inert_primes
+    dec = _decision((
+        len(g.class1mod9), len(split), len(g.class8mod9), len(inert), g.e, g.d % 9,
+        split[0][0] % 9 if split else 0, inert[0][0] % 9 if inert else 0,
+    ))
+    parts = []
+    if g.e:
+        parts.append(f"3^{g.e}" if g.e > 1 else "3")
+    for p, e in g.split_primes + g.inert_primes:
+        parts.append(f"{p}^{e}" if e > 1 else str(p))
+    factors = " * ".join(parts)
+    line, reasons, predicted, symbol = dec.line, dec.reasons, dec.predicted, None
+    if dec.named:  # p is the one split prime; only SPLIT_INERT_RANK names q
+        q = g.inert_primes[0][0] if g.inert_primes else None
+        line = line.format(factors=factors, p=g.split_primes[0][0], q=q)
+    elif dec.code is ReasonCode.CUBIC_SYMBOL_CONJECTURE:
+        # the symbol only explains the outcome and names the predicted shape
+        p = g.split_primes[0][0]
+        symbol = rational_cubic_symbol(3, p)
+        one = symbol is CubicCharacterValue.ONE
+        predicted = _ELEMENTARY_3_3 if one else _CYCLIC_3
+        line = (
+            f"(3/{p})_3 = {symbol.value}{'' if one else ' != 1'}, and for"
+            " p = 4 or 7 (mod 9) the conjectural classification then gives"
+            f" C_k3 = {predicted}, not (9, 3)"
+        )
+        detail = f"(3/{p})_3 = {symbol.value}: predicted shape {predicted}"
+        reasons = (Reason(dec.code, detail, conjectural=True),)
+    return Verdict(
+        input_d=g.d,
+        d=g.canonical,
+        form=dec.form,
+        status=dec.status,
+        reasons=reasons,
+        trace=(f"d = {g.d} = {factors}", dec.counts, line),
+        decomposition=g,
+        t=dec.t,
+        q_star=dec.q_star,
+        sigma_rank=dec.sigma_rank,
+        predicted_class_group=predicted,
+        symbol_three=symbol,
+    )

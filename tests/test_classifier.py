@@ -3,6 +3,8 @@
 from __future__ import annotations
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import cubic93.classifier
 import cubic93.ramification
@@ -12,6 +14,7 @@ from cubic93.classifier import (
     ReasonCode,
     VerdictStatus,
     _decision,
+    _necessary_form,
     _signature,
     classify,
     hk_from_hgamma,
@@ -20,8 +23,9 @@ from cubic93.classifier import (
     type93_equivalence,
 )
 from cubic93.eisenstein import CubicCharacterValue, rational_cubic_symbol
+from cubic93.radicand import GerthForm, _cube_free_forms, normalize
 from cubic93.ramification import ramify
-from oracles import cube_free_sieve, primes_below
+from oracles import cube_free_sieve, necessary_form_by_properties, primes_below
 
 LIMIT = 10_000
 
@@ -407,6 +411,54 @@ def test_scan_equals_the_per_radicand_pipeline():
     limit = 30_000
     flags = cube_free_sieve(limit)
     assert scan(limit) == [necessary_form(d) for d in range(2, limit + 1) if flags[d]]
+
+
+def test_necessary_form_equals_the_property_oracle_below_20000():
+    for g in _cube_free_forms(20_000):
+        assert _necessary_form(g) == necessary_form_by_properties(g), g.d
+
+
+@pytest.mark.parametrize("g", [
+    # 3^2 * p, p = 1 (mod 9): THREE_TIMES_SPLIT_RANK names p
+    GerthForm(9 * 100153, 2, ((100153, 1),), (), (), ()),
+    # a split p^2, p = 1 (mod 9): the candidate names p
+    GerthForm(100153**2, 0, ((100153, 2),), (), (), ()),
+    # an inert q^2, q = 8 (mod 9): SPLIT_INERT_RANK names p and q
+    GerthForm(100153 * 100043**2, 0, ((100153, 1),), (), ((100043, 2),), ()),
+    # p^2 with p = 4 (mod 9): the cubic symbol (3/p)_3 writes the line
+    GerthForm(100003**2, 0, (), ((100003, 2),), (), ()),
+    # 3 * p^2 with p = 7 (mod 9): THREE_TIMES_NONRESIDUE_CYCLIC names p
+    GerthForm(3 * 100069**2, 1, (), ((100069, 2),), (), ()),
+    # p = 4 and q = 5 (mod 9), d = 1 (mod 9): the text reads both residues
+    GerthForm(100003 * 100049**2, 0, (), ((100003, 1),), (), ((100049, 2),)),
+    # only inert primes, with and without 3
+    GerthForm(100043 * 100019 * 100049**2, 0, (), (), ((100043, 1),), ((100019, 1), (100049, 2))),
+    GerthForm(9 * 100043**2, 2, (), (), ((100043, 2),), ()),
+], ids=lambda g: str(g.d))
+def test_necessary_form_equals_the_property_oracle_on_built_forms(g):
+    assert normalize(g.d) == g
+    assert _necessary_form(g) == necessary_form_by_properties(g)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(2, 10**8).filter(lambda n: round(n ** (1 / 3)) ** 3 != n))
+def test_necessary_form_equals_the_property_oracle_on_any_radicand(n):
+    # large primes and stripped cube factors, which scan never hands over
+    g = normalize(n)
+    assert _necessary_form(g) == necessary_form_by_properties(g)
+
+
+def test_the_scan_path_reads_no_concatenating_property(monkeypatch):
+    # each of these properties rebuilds a tuple or a sum on every read; the
+    # per-radicand path reads the six fields instead
+    forms = list(_cube_free_forms(2000))
+    for name in ("split_primes", "inert_primes", "v", "w", "I", "J"):
+        def unread(g, name=name):
+            pytest.fail(f"the scan path read GerthForm.{name} of {g.d}")
+        monkeypatch.setattr(GerthForm, name, property(unread))
+    assert len(scan(2000)) == len(forms)
+    for g in forms:
+        _decision(_signature(g))
 
 
 # ------------------------------------------------------ one factorization each
