@@ -417,14 +417,28 @@ def _decision(sig: tuple[int, ...]) -> _Decision:
     )
 
 
+#: a Verdict from all 16 fields by position: _make checks their number and
+#: skips the keyword binding of the generated __new__, 0.4-0.8 us a verdict
+_make_verdict = Verdict._make
+
+
 def _necessary_form(g: GerthForm) -> Verdict:
+    # one walk over the factors writes their text and multiplies up b in
+    # d = a*b^2, so the canonical radicand needs no second walk (g.canonical)
     d, e, c1, c47, c8, c25 = g
     code, form, status, t, q_star, sigma_rank, counts, line, named, reasons, predicted = (
         _decision(_signature(g))
     )
     parts = [f"3^{e}" if e > 1 else "3"] if e else []
-    parts += [f"{p}^{k}" if k > 1 else f"{p}" for p, k in c1 + c47 + c8 + c25]
+    b = 3 if e == 2 else 1
+    for p, k in c1 + c47 + c8 + c25:
+        if k > 1:
+            parts.append(f"{p}^{k}")
+            b *= p
+        else:
+            parts.append(f"{p}")
     factors = " * ".join(parts)
+    canonical = d if b == 1 else min(d, (d // (b * b)) ** 2 * b)  # min(a*b^2, a^2*b)
     symbol = None
     if named:  # p is the one split prime; only SPLIT_INERT_RANK names q = 8 (mod 9)
         line = line.format(factors=factors, p=(c1 or c47)[0][0], q=c8[0][0] if c8 else None)
@@ -441,11 +455,10 @@ def _necessary_form(g: GerthForm) -> Verdict:
         )
         detail = f"(3/{p})_3 = {symbol.value}: predicted shape {predicted}"
         reasons = (Reason(code, detail, conjectural=True),)
-    # the ten leading fields by position: keywords cost about 0.7 us per verdict
-    return Verdict(
-        d, g.canonical, form, status, reasons, (f"d = {d} = {factors}", counts, line),
-        g, t, q_star, sigma_rank, predicted_class_group=predicted, symbol_three=symbol,
-    )
+    return _make_verdict((
+        d, canonical, form, status, reasons, (f"d = {d} = {factors}", counts, line),
+        g, t, q_star, sigma_rank, None, None, None, None, predicted, symbol,
+    ))
 
 
 def _validate_h3(h_gamma3: int) -> None:

@@ -240,7 +240,7 @@ def primary_associate(z: EisensteinInt) -> EisensteinInt:
         if b % 3 == 0:
             return EisensteinInt(a, b) if a % 3 == 2 else EisensteinInt(-a, -b)
         a, b = -b, a - b
-    raise AssertionError(f"no primary associate found for {z}")
+    raise ArithmeticError(f"no primary associate found for {z}")
 
 
 @lru_cache(maxsize=None)

@@ -12,6 +12,7 @@ from cubic93.classifier import (
     ClassGroupShape,
     FormClass,
     ReasonCode,
+    Verdict,
     VerdictStatus,
     _decision,
     _necessary_form,
@@ -343,10 +344,12 @@ def test_classify_without_data_adds_only_the_still_needed_line():
 
 
 def test_verdicts_and_forms_are_immutable_and_hashable():
-    scanned = scan(200)[-1]
+    scanned, certified = scan(200)[-1], classify(199, 9, 1)
+    # a plain tuple of the same fields would compare equal, so pin the type
+    assert type(scanned) is Verdict and type(certified) is Verdict
     for value, field in (
         (scanned, "status"),
-        (classify(199, 9, 1), "class_group"),
+        (certified, "class_group"),
         (scanned.decomposition, "d"),
     ):
         with pytest.raises(AttributeError):
@@ -415,7 +418,8 @@ def test_scan_equals_the_per_radicand_pipeline():
 
 def test_necessary_form_equals_the_property_oracle_below_20000():
     for g in _cube_free_forms(20_000):
-        assert _necessary_form(g) == necessary_form_by_properties(g), g.d
+        v = _necessary_form(g)
+        assert type(v) is Verdict and v == necessary_form_by_properties(g), g.d
 
 
 @pytest.mark.parametrize("g", [
@@ -434,10 +438,15 @@ def test_necessary_form_equals_the_property_oracle_below_20000():
     # only inert primes, with and without 3
     GerthForm(100043 * 100019 * 100049**2, 0, (), (), ((100043, 1),), ((100019, 1), (100049, 2))),
     GerthForm(9 * 100043**2, 2, (), (), ((100043, 2),), ()),
+    # canonical radicand a^2 * b < d: b = 3 * p takes the 3 of e = 2, a = 1
+    GerthForm(9 * 100153**2, 2, ((100153, 2),), (), (), ()),
+    # a = 19 < b = p, so a^2 * b < a * b^2 = d
+    GerthForm(19 * 100153**2, 0, ((19, 1), (100153, 2)), (), (), ()),
 ], ids=lambda g: str(g.d))
 def test_necessary_form_equals_the_property_oracle_on_built_forms(g):
     assert normalize(g.d) == g
-    assert _necessary_form(g) == necessary_form_by_properties(g)
+    v = _necessary_form(g)
+    assert type(v) is Verdict and v == necessary_form_by_properties(g)
 
 
 @settings(max_examples=300, deadline=None)
@@ -449,10 +458,11 @@ def test_necessary_form_equals_the_property_oracle_on_any_radicand(n):
 
 
 def test_the_scan_path_reads_no_concatenating_property(monkeypatch):
-    # each of these properties rebuilds a tuple or a sum on every read; the
-    # per-radicand path reads the six fields instead
+    # each of these properties rebuilds a tuple or a sum, or walks the factors
+    # again, on every read; the per-radicand path reads the six fields instead
     forms = list(_cube_free_forms(2000))
-    for name in ("split_primes", "inert_primes", "v", "w", "I", "J"):
+    for name in ("split_primes", "inert_primes", "v", "w", "I", "J",
+                 "b", "a", "conjugate_d", "canonical"):
         def unread(g, name=name):
             pytest.fail(f"the scan path read GerthForm.{name} of {g.d}")
         monkeypatch.setattr(GerthForm, name, property(unread))
