@@ -24,7 +24,6 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
 from enum import Enum
 from typing import NamedTuple
 
@@ -34,20 +33,23 @@ from .radicand import GerthForm, _cube_free_forms, gerth_decompose, normalize
 from .ramification import QStar, _ambiguous_rank
 
 
-@dataclass(frozen=True)
-class ClassGroupShape:
-    """An abelian 3-group given by its cyclic orders, largest first."""
+class ClassGroupShape(NamedTuple("ClassGroupShape", [("orders", tuple[int, ...])])):
+    """An abelian 3-group given by its cyclic orders, largest first.
 
-    orders: tuple[int, ...]
+    __new__ checks the orders; _make and _replace skip it, and nothing calls
+    them on a shape."""
 
-    def __post_init__(self) -> None:
-        for n in self.orders:
+    __slots__ = ()
+
+    def __new__(cls, orders: tuple[int, ...]) -> "ClassGroupShape":
+        for n in orders:
             if n < 2:
                 raise ValueError(f"cyclic order {n} is not a group order >= 2")
             if three_part(n) != n:
                 raise ValueError(f"cyclic order {n} is not a power of 3")
-        if tuple(sorted(self.orders, reverse=True)) != self.orders:
-            raise ValueError(f"orders {self.orders} must be non-increasing")
+        if tuple(sorted(orders, reverse=True)) != orders:
+            raise ValueError(f"orders {orders} must be non-increasing")
+        return super().__new__(cls, orders)
 
     @classmethod
     def of(cls, *orders: int) -> "ClassGroupShape":
@@ -83,8 +85,7 @@ def hk_from_hgamma(h_gamma: int, u: int) -> int:
     return num // 3
 
 
-@dataclass(frozen=True)
-class EquivalenceResult:
+class EquivalenceResult(NamedTuple):
     applicable: bool
     consistent: bool
     c_k: ClassGroupShape | None
@@ -195,8 +196,7 @@ class ReasonCode(Enum):
     DATA_UNIT_INDEX = "data_unit_index"
 
 
-@dataclass(frozen=True)
-class Reason:
+class Reason(NamedTuple):
     code: ReasonCode
     detail: str
     conjectural: bool = False

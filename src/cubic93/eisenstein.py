@@ -20,11 +20,10 @@ to use from many threads at once.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from enum import Enum
 from functools import lru_cache
 from math import isqrt
-from typing import Union
+from typing import NamedTuple, Union
 
 from ._intmath import factorize, is_prime as _is_rational_prime
 
@@ -38,16 +37,34 @@ def _round_div(n: int, d: int) -> int:
     return -((-2 * n + d) // (2 * d))
 
 
-@dataclass(frozen=True)
 class EisensteinInt:
     """a + b*w with integer a, b, where all arithmetic reduces w^2 to -1 - w.
 
     The norm a^2 - a*b + b^2 is nonnegative and vanishes only at 0.  Python
     integers are unbounded, so no overflow is possible at any input size.
+    Immutable and slotted, not a tuple: EisensteinInt(1, 0) equals 1, never
+    the pair (1, 0).
     """
 
-    a: int = 0
-    b: int = 0
+    __slots__ = ("a", "b")
+
+    def __init__(self, a: int = 0, b: int = 0) -> None:
+        object.__setattr__(self, "a", a)
+        object.__setattr__(self, "b", b)
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __repr__(self) -> str:
+        return f"EisensteinInt(a={self.a!r}, b={self.b!r})"
+
+    def __reduce__(self) -> tuple[type, tuple[int, int]]:
+        # pickle and deepcopy rebuild through __init__; slot state would
+        # go through the refusing __setattr__
+        return EisensteinInt, (self.a, self.b)
 
     @classmethod
     def _coerce(cls, other: _Operand) -> "EisensteinInt | None":
@@ -214,8 +231,7 @@ class SplitKind(Enum):
     RAMIFIED = "ramified"
 
 
-@dataclass(frozen=True)
-class PrimeSplitting:
+class PrimeSplitting(NamedTuple):
     """How a rational prime factors in Z[w].
 
     For a split p the factors are (pi, conj(pi)) with pi the primary prime
@@ -404,8 +420,7 @@ def rational_cubic_symbol(a: int, p: int) -> CubicCharacterValue:
     return _split_character(a, p, _omega_residue(pi, p))
 
 
-@dataclass(frozen=True)
-class EisensteinFactorization:
+class EisensteinFactorization(NamedTuple):
     """unit * prod(prime^exponent) = value, with primes primary whenever
     their norm is coprime to 3 and lam itself above 3."""
 

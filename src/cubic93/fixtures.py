@@ -2,7 +2,9 @@
 
 The bundled table lists 28 primes p = 1 (mod 9), from 199 up to 5347, whose
 cubic field has 3-class number exactly 9 and whose sextic field has unit
-index u = 1; for each of them the sextic 3-class group is Z/9 x Z/3.
+index u = 1; for each of them the sextic 3-class group is Z/9 x Z/3.  It
+is read as a plain file, data/type93_fixtures.jsonl next to this module, so
+the package must be installed as files, not imported from a zip archive.
 
 Fixture files are JSON Lines: one object per row with the fields
 p, h_gamma3, h_k3, u, c_gamma, c_k, and no others.  Every value must be a
@@ -30,14 +32,12 @@ from __future__ import annotations
 import json
 import re
 import subprocess
-from dataclasses import dataclass
-from importlib import resources
 from pathlib import Path
+from typing import NamedTuple
 
 from ._intmath import is_prime, three_part
 from .classifier import ClassGroupShape, Verdict, VerdictStatus, classify, hk_from_hgamma
 
-_FIELDS = ("p", "h_gamma3", "h_k3", "u", "c_gamma", "c_k")
 _BUNDLED = "data/type93_fixtures.jsonl"
 #: seconds one CAS call may run before it counts as failed
 _CAS_TIMEOUT_S = 120.0
@@ -47,8 +47,7 @@ class FixtureError(ValueError):
     """A fixture file is missing, malformed or violates a row invariant."""
 
 
-@dataclass(frozen=True)
-class FixtureRow:
+class FixtureRow(NamedTuple):  # its fields are the file's keys, in order
     p: int
     h_gamma3: int
     h_k3: int
@@ -71,16 +70,16 @@ def _parse_row(line: str) -> FixtureRow:
         raise ValueError(f"not valid JSON ({exc})") from exc
     if not isinstance(record, dict):
         raise ValueError("expected one JSON object per line")
-    missing = [k for k in _FIELDS if k not in record]
+    missing = [k for k in FixtureRow._fields if k not in record]
     if missing:
         raise ValueError(f"missing fields {missing}")
-    unknown = [k for k in record if k not in _FIELDS]
+    unknown = [k for k in record if k not in FixtureRow._fields]
     if unknown:
         raise ValueError(f"unknown fields {unknown}")
     for key in ("c_gamma", "c_k"):
         if not isinstance(record[key], list):
             raise ValueError(f"{key} must be a list of cyclic orders")
-    p, h_gamma3, h_k3, u = (_integer(record[k], k) for k in _FIELDS[:4])
+    p, h_gamma3, h_k3, u = (_integer(record[k], k) for k in FixtureRow._fields[:4])
     gamma_orders, k_orders = (
         tuple(_integer(x, f"{k} entry") for x in record[k])
         for k in ("c_gamma", "c_k")
@@ -101,14 +100,7 @@ def _parse_row(line: str) -> FixtureRow:
             raise ValueError(
                 f"{key} = {shape} has order {shape.order}, not {h} = {record[h]}"
             )
-    return FixtureRow(
-        p=p,
-        h_gamma3=h_gamma3,
-        h_k3=h_k3,
-        u=u,
-        c_gamma=c_gamma,
-        c_k=c_k,
-    )
+    return FixtureRow(p, h_gamma3, h_k3, u, c_gamma, c_k)
 
 
 def _parse_lines(text: str, source: str) -> list[FixtureRow]:
@@ -140,7 +132,7 @@ def load_fixtures(path: str | Path) -> list[FixtureRow]:
 
 def load_bundled_fixtures() -> list[FixtureRow]:
     """The table shipped with the package."""
-    text = resources.files(__package__).joinpath(_BUNDLED).read_text(encoding="utf-8")
+    text = (Path(__file__).parent / _BUNDLED).read_text(encoding="utf-8")
     return _parse_lines(text, "bundled table")
 
 
@@ -214,26 +206,17 @@ def cas_query(d: int, command: tuple[str, ...]) -> FixtureRow:
             f"inconsistent CAS data for d = {d}: h_gamma3 = {h_gamma3},"
             f" h_k3 = {h_k3} admit no unit index in {{1, 3}}"
         )
-    return FixtureRow(
-        p=d,
-        h_gamma3=h_gamma3,
-        h_k3=h_k3,
-        u=u,
-        c_gamma=c_gamma,
-        c_k=c_k,
-    )
+    return FixtureRow(d, h_gamma3, h_k3, u, c_gamma, c_k)
 
 
-@dataclass(frozen=True)
-class TableRowResult:
+class TableRowResult(NamedTuple):
     p: int
     ok: bool
     message: str
     verdict: Verdict | None
 
 
-@dataclass(frozen=True)
-class TableReport:
+class TableReport(NamedTuple):
     results: tuple[TableRowResult, ...]
     skipped_reason: str | None = None
 
@@ -282,7 +265,7 @@ def reproduce_table(
         elif data != row:
             message = f"p = {row.p}: " + "; ".join(
                 f"{k} = {getattr(data, k)} recomputed, {getattr(row, k)} in the row"
-                for k in _FIELDS
+                for k in FixtureRow._fields
                 if getattr(data, k) != getattr(row, k)
             )
         else:

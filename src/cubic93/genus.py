@@ -20,8 +20,8 @@ and no third-party package is involved.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
+from typing import NamedTuple
 
 from ._intmath import factorize, is_prime
 from .eisenstein import factor_rational_prime
@@ -145,8 +145,7 @@ def format_cubic(coeffs: Cubic) -> str:
     return " ".join(parts) if parts else "0"
 
 
-@dataclass(frozen=True)
-class GenusReport:
+class GenusReport(NamedTuple):
     d: int
     r: int
     genus_number: int

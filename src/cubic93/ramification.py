@@ -26,8 +26,8 @@ report, where its length cross-checks t.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from enum import Enum
+from typing import NamedTuple
 
 from .eisenstein import EisensteinInt, SplitKind, factor_rational_prime
 from .radicand import GerthForm, gerth_decompose
@@ -38,8 +38,7 @@ class QStar(Enum):
     UNKNOWN = "unknown"
 
 
-@dataclass(frozen=True)
-class K0Prime:
+class K0Prime(NamedTuple):
     """One prime of k0 = Q(zeta_3) that ramifies in k/k0."""
 
     kind: SplitKind
@@ -47,8 +46,7 @@ class K0Prime:
     element: EisensteinInt
 
 
-@dataclass(frozen=True)
-class RamificationReport:
+class RamificationReport(NamedTuple):
     d: int
     gamma_ramified: frozenset[int]
     three_ramified: bool

@@ -2,6 +2,10 @@
 
 from __future__ import annotations
 
+import hashlib
+import itertools
+import json
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -252,6 +256,58 @@ def test_decision_is_a_function_of_the_mod9_counts(monkeypatch):
     assert len(verdicts) == 16_638
     mixed = {sig: outcomes for sig, outcomes in by_signature.items() if len(outcomes) > 1}
     assert not mixed
+
+
+def _consistent_signatures():
+    """Every signature (v, w, I, J, e, d % 9, p % 9, q % 9) that a cube-free
+    d can have with w, J <= 6: v <= w and I <= J; d % 9 a unit when
+    e = 0, 3 or 6 when e = 1, 0 when e = 2; p % 9 is 1 when v > 0, 4 or 7
+    when only class47mod9 primes split, else 0, and q % 9 likewise."""
+
+    def residues(n_one: int, n_all: int, one: int, others: tuple[int, int]):
+        return (one,) if n_one else (others if n_all else (0,))
+
+    for w, J, e in itertools.product(range(7), range(7), range(3)):
+        if w == J == e == 0:  # d = 1
+            continue
+        for v, I in itertools.product(range(w + 1), range(J + 1)):  # noqa: E741
+            for d9 in ((1, 2, 4, 5, 7, 8), (3, 6), (0,))[e]:
+                for p9 in residues(v, w, 1, (4, 7)):
+                    for q9 in residues(I, J, 8, (2, 5)):
+                        yield (v, w, I, J, e, d9, p9, q9)
+
+
+#: sha256 of every field of every _Decision over _consistent_signatures(),
+#: recorded before the records became named tuples; it also pins the text of
+#: signatures that no golden radicand reaches
+_DECISION_TABLE_SHA256 = "7896d9ef08e637da16d8e0e051be204d6f0d0e0bb161a21e9b8eb16edf1f0f2b"
+
+
+def test_the_elimination_over_its_whole_domain():
+    signatures = list(_consistent_signatures())
+    assert len(signatures) == len(set(signatures)) == 10_398
+    assert {_signature(g) for g in _cube_free_forms(20_000)} <= set(signatures)
+    digest = hashlib.sha256()
+    outcomes: dict[tuple, set] = {}
+    for sig in signatures:
+        v, w, I, J, e, d9, _, _ = sig  # noqa: E741
+        dec = _decision(sig)
+        # counts above 2 change no outcome, so the bound 6 covers every d
+        clamped = tuple(min(n, 2) for n in sig[:4]) + sig[4:]
+        outcomes.setdefault(clamped, set()).add((dec.code, dec.form, dec.status))
+        # the one shape left standing: d = p or p^2 with p = 1 (mod 9)
+        assert (dec.code is None) == ((v, w, J, e) == (1, 1, 0, 0)), sig
+        assert dec.t == (e > 0 or d9 not in (1, 8)) + 2 * w + J, sig
+        row = [
+            sig, None if dec.code is None else dec.code.value, dec.form.name,
+            dec.status.value, dec.t, dec.q_star.name, dec.sigma_rank, dec.counts,
+            dec.line, dec.named,
+            [[r.code.value, r.detail, r.conjectural] for r in dec.reasons],
+            None if dec.predicted is None else dec.predicted.orders,
+        ]
+        digest.update(json.dumps(row).encode() + b"\n")
+    assert all(len(seen) == 1 for seen in outcomes.values())
+    assert digest.hexdigest() == _DECISION_TABLE_SHA256
 
 
 # --------------------------------------------------------------------- classify

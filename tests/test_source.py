@@ -53,6 +53,20 @@ def test_source_stays_below_2400_lines_and_62_public_names():
     assert int(names.stdout) <= 62
 
 
+def test_the_cli_imports_no_dataclasses_inspect_or_importlib_resources():
+    # a CLI query's wall time is mostly import: dataclasses pulls in inspect,
+    # importlib.resources pulls in tempfile and shutil, and the package needs
+    # neither (its records are named tuples, its table a plain file)
+    heavy = ("dataclasses", "inspect", "importlib.resources")
+    loaded = subprocess.run(
+        [sys.executable, "-S", "-c",
+         f"import sys, cubic93.cli; print([m for m in {heavy!r} if m in sys.modules])"],
+        env={**os.environ, "PYTHONPATH": str(PACKAGE.parent)},
+        capture_output=True, encoding="utf-8", timeout=120, check=True,
+    )
+    assert loaded.stdout.strip() == "[]"
+
+
 def test_git_tracks_no_build_artifacts():
     root = Path(__file__).resolve().parents[1]
     if shutil.which("git") is None:
