@@ -563,4 +563,4 @@ def scan(max_d: int) -> list[Verdict]:
             f"scan bound must be <= {_SCAN_LIST_LIMIT}, got {max_d}: scan returns one"
             " verdict per radicand; `cubic93 scan --max` streams bounds up to 10^8"
         )
-    return [_necessary_form(g) for g in _cube_free_forms(max_d)]
+    return list(map(_necessary_form, _cube_free_forms(max_d)))

@@ -23,7 +23,7 @@ a whole range at once, from a block sieve, and factors nothing.
 from __future__ import annotations
 
 from collections.abc import Iterator
-from itertools import compress
+from itertools import compress, repeat
 from math import isqrt
 from typing import NamedTuple
 
@@ -177,7 +177,10 @@ def _block_forms(lo: int, hi: int, primes: list[int]) -> Iterator[GerthForm]:
     Each prime is divided out of its multiples and, except 3, appended to
     their class, as (p, 2) at a multiple of p^2; 3 only sets e.  A multiple
     of p^3 is dropped.  What is left of a radicand is then 1 or one prime
-    above isqrt(hi - 1), the largest, with exponent 1.
+    above isqrt(hi - 1), the largest, with exponent 1.  The block's forms
+    are then built in one C-level pass: the columns d, e and the four
+    classes are zipped, the cube-free rows picked by compress, and each row
+    made a GerthForm by tuple.__new__, with no Python step per radicand.
     """
     n = hi - lo
     rest = list(range(lo, hi))
@@ -204,9 +207,13 @@ def _block_forms(lo: int, hi: int, primes: list[int]) -> Iterator[GerthForm]:
         for i in range(i2, n, p2):
             rest[i] //= p
             fac[i] = fac[i][:-1] + twice
-    c1, c47, c8, c25 = classes
     for i in compress(range(n), cube_free):
         q = rest[i]
         if q > 1:
             classes[_CLASS_OF[q % 9]][i] += ((q, 1),)
-        yield GerthForm(lo + i, e3[i], c1[i], c47[i], c8[i], c25[i])
+    # tuple.__new__ skips GerthForm.__new__, and with it the check that each
+    # row has six fields: tests/test_radicand.py checks class and length
+    yield from map(
+        tuple.__new__, repeat(GerthForm),
+        compress(zip(range(lo, hi), e3, *classes), cube_free),
+    )

@@ -2,9 +2,12 @@
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import itertools
 import json
+import operator
+import re
 
 import pytest
 from hypothesis import given, settings
@@ -308,6 +311,82 @@ def test_the_elimination_over_its_whole_domain():
         digest.update(json.dumps(row).encode() + b"\n")
     assert all(len(seen) == 1 for seen in outcomes.values())
     assert digest.hexdigest() == _DECISION_TABLE_SHA256
+
+
+#: where the trace line of a verdict names the radicand's primes: "with p =
+#: ...", "3 and p = 1 (mod 9) ramify", "p splits and q stays inert", "(3/p)_3"
+_NAMED = re.compile(
+    r"with (\S+) = |3 and (\S+) = 1 \(mod 9\) ramify"
+    r"|(\S+) splits and (\S+) stays inert|\(3/(\S+?)\)_3"
+)
+#: the one place where a reason names a prime
+_SYMBOL = re.compile(r"\(3/(\S+?)\)_3")
+_T = re.compile(r"\bt = (\w+)")
+#: where the text states the ambiguous rank itself, not the rank (9, 3) needs
+_RANK = re.compile(r"ambiguous rank is (\w+)|ambiguous rank (\w+) != 1")
+_detail = operator.attrgetter("detail")
+#: how many primes the trace line and the reasons of each form name
+_NAMED_PER_FORM = {
+    FormClass.OTHER: 0, FormClass.P_1MOD9: 1, FormClass.P_47MOD9: 2,
+    FormClass.THREE_P_1MOD9: 1, FormClass.THREE_P_47MOD9: 1, FormClass.PQ_1MOD9: 2,
+}
+
+
+@functools.lru_cache(maxsize=4096)
+def _text_facts(lines: tuple[str, ...], details: tuple[str, ...]):
+    """Every N of a t = N, every stated ambiguous rank, and the named primes,
+    in the lines from the decision's trace line on and in the reason
+    details.  Cached, because most verdicts share their text with many
+    others."""
+    text = "\n".join(lines + details)
+    ranks = tuple(r for m in _RANK.findall(text) for r in m if r)
+    named = [n for m in _NAMED.findall(lines[0]) for n in m if n]
+    return tuple(_T.findall(text)), ranks, named + _SYMBOL.findall("\n".join(details))
+
+
+def assert_trace_matches_record(v: Verdict) -> None:
+    """The text of a verdict says what its record holds: the factors of the
+    first line multiply back to d, the counts line reads the form's counts,
+    every t = N is v.t, every stated ambiguous rank is v.sigma_rank, and
+    every named p or q divides d."""
+    d, e, c1, c47, c8, c25 = v.decomposition
+    # classify puts a note on a stripped cube factor before the factor line
+    start = v.input_d != d
+    first, counts = v.trace[start : start + 2]
+    head, value, factors = first.split(" = ")
+    product = 1
+    for term in factors.split(" * "):
+        base, _, exponent = term.partition("^")
+        product *= int(base) ** int(exponent or 1)
+    assert (head, int(value), product) == ("d", d, d), first
+    v1, I = len(c1), len(c8)  # noqa: E741
+    assert counts == (
+        f"counts: v = {v1}, w = {v1 + len(c47)}, I = {I}, J = {I + len(c25)},"
+        f" e = {e}; d = {d % 9} (mod 9)"
+    )
+    ts, ranks, named = _text_facts(v.trace[start + 2 :], tuple(map(_detail, v.reasons)))
+    for t in ts:
+        assert t == str(v.t), (d, t)
+    for rank in ranks:
+        assert rank == str(v.sigma_rank), (d, rank)
+    assert len(named) == _NAMED_PER_FORM[v.form], (d, named)
+    for n in map(int, named):
+        assert n > 1 and d % n == 0, (d, n)
+
+
+def test_every_scan_trace_matches_its_record():
+    for v in scan(200_000):
+        assert_trace_matches_record(v)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(min_value=2, max_value=10**12))
+def test_every_classify_trace_matches_its_record(d):
+    try:
+        v = classify(d)
+    except ValueError:  # a perfect cube
+        return
+    assert_trace_matches_record(v)
 
 
 # --------------------------------------------------------------------- classify

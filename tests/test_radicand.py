@@ -196,6 +196,16 @@ def test_decompose_exhaustive_against_sieve():
 # ---------------------------------------------------------------- block sieve
 
 
+def assert_built_forms(forms: list[GerthForm]) -> None:
+    """The sieve builds its forms with tuple.__new__, which checks neither
+    the class nor the arity that GerthForm's own constructor would; a plain
+    tuple of the same values compares equal to a GerthForm, so equality
+    alone does not catch a wrong class."""
+    for g in forms:
+        assert type(g) is GerthForm, g
+        assert len(g) == 6, g
+
+
 @pytest.mark.parametrize("block", [97, 1000])
 def test_block_sieve_matches_normalize(monkeypatch, block):
     monkeypatch.setattr(cubic93.radicand, "_BLOCK", block)
@@ -205,7 +215,9 @@ def test_block_sieve_matches_normalize(monkeypatch, block):
     edges = range(2 + block, 2002, block)
     limits = {2, 7, 8, 26, 27, 28, 2000} | {e + k for e in edges for k in (-1, 0, 1)}
     for limit in sorted(limits):
-        assert list(_cube_free_forms(limit)) == [g for g in want if g.d <= limit], limit
+        got = list(_cube_free_forms(limit))
+        assert got == [g for g in want if g.d <= limit], limit
+        assert_built_forms(got)
 
 
 def test_block_sieve_matches_normalize_just_below_the_bound():
@@ -217,4 +229,6 @@ def test_block_sieve_matches_normalize_just_below_the_bound():
         g = normalize(d)
         if g.d == d:
             want.append(g)
-    assert list(_block_forms(lo, hi, primes)) == want
+    got = list(_block_forms(lo, hi, primes))
+    assert got == want
+    assert_built_forms(got)
