@@ -29,7 +29,7 @@ from typing import NamedTuple
 
 from ._intmath import three_part
 from .eisenstein import CubicCharacterValue, rational_cubic_symbol
-from .radicand import GerthForm, _cube_free_forms, gerth_decompose, normalize
+from .radicand import GerthForm, _collector_paused, _cube_free_forms, gerth_decompose, normalize
 from .ramification import QStar, _ambiguous_rank
 
 
@@ -563,4 +563,4 @@ def scan(max_d: int) -> list[Verdict]:
             f"scan bound must be <= {_SCAN_LIST_LIMIT}, got {max_d}: scan returns one"
             " verdict per radicand; `cubic93 scan --max` streams bounds up to 10^8"
         )
-    return list(map(_necessary_form, _cube_free_forms(max_d)))
+    return _collector_paused(list, map(_necessary_form, _cube_free_forms(max_d)))

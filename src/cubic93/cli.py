@@ -19,7 +19,7 @@ from .classifier import Verdict, _decision, _necessary_form, _signature, classif
 from .eisenstein import SplitKind, rational_cubic_symbol
 from .fixtures import CasError, FixtureError, reproduce_table
 from .genus import _genus_from_form, format_cubic
-from .radicand import GerthForm, _cube_free_forms, normalize
+from .radicand import GerthForm, _collector_paused, _cube_free_forms, normalize
 from .ramification import _ramify_from_form
 
 USAGE_ERROR = 1
@@ -175,22 +175,29 @@ def _cmd_table(args: argparse.Namespace) -> int:
 
 
 def _cmd_scan(args: argparse.Namespace) -> int:
+    total, candidates = _collector_paused(_print_candidates, args.max, args.json)
+    if not args.json:
+        print(f"{total} cube-free radicands <= {args.max}:"
+              f" {candidates} candidates, {total - candidates} excluded")
+    return 0
+
+
+def _print_candidates(max_d: int, as_json: bool) -> tuple[int, int]:
+    """Print the verdict of each candidate d <= max_d; return the number of
+    cube-free radicands and of candidates."""
     # streamed: a Verdict is built and printed only for each candidate
     total = candidates = 0
-    for g in _cube_free_forms(args.max):
+    for g in _cube_free_forms(max_d):
         total += 1
         if _decision(_signature(g)).code is not None:
             continue
         candidates += 1
         v = _necessary_form(g)
-        if args.json:
+        if as_json:
             print(json.dumps(v.to_json_dict()))
         else:
             print(f"d = {v.input_d:>8d}   canonical {v.d:>8d}   {v.form.value}")
-    if not args.json:
-        print(f"{total} cube-free radicands <= {args.max}:"
-              f" {candidates} candidates, {total - candidates} excluded")
-    return 0
+    return total, candidates
 
 
 _HANDLERS = {

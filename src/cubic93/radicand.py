@@ -22,21 +22,24 @@ a whole range at once, from a block sieve, and factors nothing.
 
 from __future__ import annotations
 
-from collections.abc import Iterator
+import gc
+from collections.abc import Callable, Iterator
 from itertools import compress, repeat
 from math import isqrt
-from typing import NamedTuple
+from typing import NamedTuple, TypeVar
 
 from ._intmath import factorize, is_prime
 
 #: the largest bound _cube_free_forms accepts: `cubic93 scan --max 10^8`
-#: took 205-375 s (CPython 3.11, 2-vCPU Xeons of one host type, in sessions
-#: up to 2x apart), and the time grows linearly
+#: took 209-252 s (three runs, CPython 3.11, 2-vCPU Xeon), and the time
+#: grows linearly
 _SCAN_LIMIT = 10**8
 #: radicands per block of that sieve; a block is all it holds in memory
 _BLOCK = 1 << 16
 #: index of each prime's residue class mod 9 in the four GerthForm classes
 _CLASS_OF = {1: 0, 4: 1, 7: 1, 8: 2, 2: 3, 5: 3}
+
+_T = TypeVar("_T")
 
 
 class GerthForm(NamedTuple):
@@ -168,6 +171,31 @@ def _cube_free_forms(limit: int) -> Iterator[GerthForm]:
     primes = [p for p in range(2, max(isqrt(limit), 3) + 1) if is_prime(p)]
     for lo in range(2, limit + 1, _BLOCK):
         yield from _block_forms(lo, min(lo + _BLOCK, limit + 1), primes)
+
+
+def _collector_paused(build: Callable[..., _T], *args: object) -> _T:
+    """build(*args), run with CPython's cyclic garbage collector off.
+
+    A scan builds a GerthForm and often a Verdict per radicand.  Both are
+    tuple subclasses, which the collector never untracks, so each of its
+    older-generation passes during a scan walks every record kept so far
+    again, and finds nothing: the records hold only ints, strings, enums and
+    tuples, so they form no cycle (tests/test_classifier.py checks that a
+    scan leaves none).  Reference counting still frees what the caller
+    drops, and what it keeps gets one young-generation pass after the call.
+    The collector is turned back on at the end, also when build raises, but
+    only if it was on at the start.  The switch is process-wide: cyclic
+    garbage that another thread makes meanwhile waits until build returns.
+    A contextlib context manager would allocate in its exit, after the
+    collector is back on, and so run that young pass inside the call.
+    """
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        return build(*args)
+    finally:
+        if enabled:
+            gc.enable()
 
 
 def _block_forms(lo: int, hi: int, primes: list[int]) -> Iterator[GerthForm]:

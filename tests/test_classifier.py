@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import functools
+import gc
 import hashlib
 import itertools
 import json
@@ -542,6 +543,68 @@ def test_scan_bound_itself_passes(monkeypatch):
     assert scan(199)[-1].input_d == 199
     with pytest.raises(ValueError, match="<= 199, got 200"):
         scan(200)
+
+
+@pytest.mark.parametrize("enabled", [True, False])
+def test_scan_leaves_the_collector_as_it_found_it(enabled):
+    # the scan pauses the cyclic collector (radicand._collector_paused)
+    try:
+        if not enabled:
+            gc.disable()
+        scan(2000)
+        assert gc.isenabled() is enabled
+    finally:
+        gc.enable()
+
+
+@pytest.mark.parametrize("enabled", [True, False])
+def test_scan_that_raises_leaves_the_collector_as_it_found_it(monkeypatch, enabled):
+    calls = itertools.count()
+
+    def failing(g):
+        if next(calls) == 500:
+            raise ArithmeticError("broken invariant")
+        return _necessary_form(g)
+
+    monkeypatch.setattr(cubic93.classifier, "_necessary_form", failing)
+    try:
+        if not enabled:
+            gc.disable()
+        with pytest.raises(ArithmeticError, match="broken invariant"):
+            scan(2000)
+        assert next(calls) == 501
+        assert gc.isenabled() is enabled
+    finally:
+        gc.enable()
+
+
+def test_scan_builds_its_verdicts_with_the_collector_off(monkeypatch):
+    states = []
+
+    def recording(g):
+        states.append(gc.isenabled())
+        return _necessary_form(g)
+
+    monkeypatch.setattr(cubic93.classifier, "_necessary_form", recording)
+    try:
+        assert len(scan(2000)) == len(states) > 1000
+        assert set(states) == {False} and gc.isenabled()
+    finally:
+        gc.enable()
+
+
+def test_scan_leaves_no_cyclic_garbage():
+    # what makes the pause safe: a scan builds only ints, strings, enums and
+    # tuples, so reference counting frees all of it and the collector,
+    # turned off here for the whole build, has nothing left to find
+    gc.collect()
+    try:
+        gc.disable()
+        verdicts = scan(200_000)
+        del verdicts
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
 
 
 def test_scan_equals_the_per_radicand_pipeline():

@@ -2,8 +2,10 @@
 
 from __future__ import annotations
 
+import argparse
 import contextlib
 import errno
+import gc
 import io
 import json
 import os
@@ -18,7 +20,7 @@ from hypothesis import strategies as st
 
 import cubic93
 from cubic93._intmath import _MR_LIMIT
-from cubic93.cli import main
+from cubic93.cli import _cmd_scan, main
 
 
 def subprocess_env() -> dict[str, str]:
@@ -278,6 +280,40 @@ def test_scan_json(capsys):
     records = [json.loads(line) for line in out.splitlines() if line.strip()]
     assert [r["input_d"] for r in records] == [19, 37, 73, 109, 127, 163, 181, 199]
     assert all(r["status"] == "candidate_needs_data" for r in records)
+
+
+@pytest.mark.parametrize("enabled", [True, False])
+def test_scan_leaves_the_collector_as_it_found_it(capsys, monkeypatch, enabled):
+    # the streaming loop runs with the cyclic collector paused
+    states = []
+
+    def recording(g):
+        states.append(gc.isenabled())
+        return cubic93.classifier._necessary_form(g)
+
+    monkeypatch.setattr(cubic93.cli, "_necessary_form", recording)
+    try:
+        if not enabled:
+            gc.disable()
+        assert _cmd_scan(argparse.Namespace(max=2000, json=False)) == 0
+        assert gc.isenabled() is enabled
+        assert len(states) == 49 and set(states) == {False}
+    finally:
+        gc.enable()
+    assert capsys.readouterr().out.endswith(": 49 candidates, 1615 excluded\n")
+
+
+@pytest.mark.parametrize("as_json", [False, True])
+def test_scan_leaves_no_cyclic_garbage(capsys, as_json):
+    # _cmd_scan, not main: the argparse parser alone leaves cyclic garbage
+    gc.collect()
+    try:
+        gc.disable()
+        assert _cmd_scan(argparse.Namespace(max=200_000, json=as_json)) == 0
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
+    assert capsys.readouterr().out
 
 
 def test_scan_bad_bound_is_usage_error(capsys):

@@ -39,6 +39,38 @@ def test_no_assert_in_the_library_or_the_oracles():
     assert len(files) > 1 and found == []
 
 
+def test_only_one_helper_switches_the_cyclic_collector():
+    # the collector's state is process-wide, so one function owns the switch:
+    # radicand._collector_paused, which restores what it found
+    switches = {"disable", "enable", "freeze", "collect"}
+    inside, outside = [], []
+    for path in sorted(PACKAGE.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        helper = [
+            node for node in ast.walk(tree)
+            if isinstance(node, ast.FunctionDef) and node.name == "_collector_paused"
+        ]
+        in_helper = {id(node) for fn in helper for node in ast.walk(fn)}
+        for node in ast.walk(tree):
+            if (
+                isinstance(node, ast.Attribute)
+                and isinstance(node.value, ast.Name)
+                and node.value.id == "gc"
+                and node.attr in switches
+            ):
+                (inside if id(node) in in_helper else outside).append(
+                    f"{path.name}:{node.lineno}: gc.{node.attr}"
+                )
+            elif (isinstance(node, ast.ImportFrom) and node.module == "gc") or (
+                isinstance(node, ast.Import)
+                and any(a.name == "gc" and a.asname for a in node.names)
+            ):
+                outside.append(f"{path.name}:{node.lineno}: imports gc by another name")
+    assert outside == []
+    assert [entry.split(": ")[1] for entry in inside] == ["gc.disable", "gc.enable"]
+    assert {entry.split(":")[0] for entry in inside} == {"radicand.py"}
+
+
 def test_source_stays_below_2400_lines_and_62_public_names():
     # lines as `wc -l` counts them; names in a fresh `python -S` process,
     # since this one has also imported the cli submodule
