@@ -98,6 +98,18 @@ def split_prime_by_gcd(p: int) -> EisensteinInt:
     return pi
 
 
+def cubic_symbol_of_three(p: int) -> CubicCharacterValue:
+    """(3/p)_3 for a prime p = 1 (mod 3) by the supplementary laws.
+
+    With pi = a + b*w = factor_rational_prime(p).factors[0] (primary: a =
+    3m - 1, b = 3n), 3 = -w^2 * lam^2, (w/pi)_3 = w^(m+n) and (lam/pi)_3 =
+    w^(2m) (Ireland & Rosen, ch. 9) give (3/pi)_3 = w^(2n) = w^(2b/3)."""
+    pi = factor_rational_prime(p).factors[0]
+    if pi.norm() != p or pi.a % 3 != 2 or pi.b % 3:
+        raise ArithmeticError(f"{pi} is not a primary prime above {p}")
+    return CubicCharacterValue.from_exponent(2 * pi.b // 3)
+
+
 def factor_by_divmod(z: EisensteinInt) -> EisensteinFactorization:
     """Factor z != 0 into a unit and prime powers.
 

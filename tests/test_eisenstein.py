@@ -42,6 +42,7 @@ from cubic93.eisenstein import (
     rational_cubic_symbol,
 )
 from oracles import (
+    cubic_symbol_of_three,
     factor_by_divmod,
     gcd,
     is_prime_by_trial_division,
@@ -534,6 +535,15 @@ def test_symbol_agrees_with_character_at_prime_above_p():
             if a % p == 0:
                 continue
             assert rational_cubic_symbol(a, p) is cubic_character(EisensteinInt(a), pi)
+
+
+def test_symbol_of_three_follows_the_supplementary_laws():
+    # p crosses 300^2, so is_prime proves it by the primes below 300 and by
+    # the bit table of the odd primes below 2^20
+    primes = [p for p in primes_below(200_000) if p % 3 == 1]
+    assert len(primes) == 8988 and primes[0] < 90_000 < primes[-1]
+    for p in primes:
+        assert rational_cubic_symbol(3, p) is cubic_symbol_of_three(p), p
 
 
 # ------------------------------------------------------------- reciprocity

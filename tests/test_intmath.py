@@ -1,24 +1,30 @@
 """The integer kernel: deterministic primality, factorization and the 3-part of n.
 
-is_prime decides n < 300^2 by the primes below 300 and switches to
-Miller-Rabin there, picking its bases by size.  So it is checked against
-plain trial division across each switch point and on the strong
+is_prime decides n < 300^2 by the primes below 300, n < 2^20 by a bit
+table of the odd primes, and larger n by Miller-Rabin, picking its bases by
+size.  So it is checked against a plain sieve over the whole table range,
+against plain trial division across each switch point and on the strong
 pseudoprimes that bound each tier, and against sympy as an independent
 second oracle on large inputs.  factorize trial-divides only by the primes
-below 300 and hands the cofactor to Miller-Rabin and Pollard-Brent rho.  So
-it is checked against full trial division, and against sympy on the inputs
-that rho finds hardest.
+below 300 and hands the cofactor to the table, Miller-Rabin and
+Pollard-Brent rho.  So it is checked against full trial division, on
+cofactors on both sides of 2^20, and against sympy on the inputs that rho
+finds hardest.
 """
 
 from __future__ import annotations
 
 import random
+import sys
+import threading
+from math import gcd, isqrt
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cubic93._intmath import factorize, is_prime, three_part
+from cubic93 import _intmath
+from cubic93._intmath import _PRIMORIAL, factorize, is_prime, three_part
 from oracles import factorize_by_trial_division, is_prime_by_trial_division
 
 #: is_prime and factorize are proven below this bound, the least strong
@@ -58,6 +64,62 @@ def chernick_carmichael(count: int) -> list[int]:
 def test_matches_trial_division_up_to_2e5():
     for n in range(-5, 200_001):
         assert is_prime(n) == is_prime_by_trial_division(n), n
+
+
+def test_matches_a_plain_sieve_across_the_table():
+    # an Eratosthenes sieve over all n, written independently of the
+    # library's odd-only, bit-packed table
+    limit = 2**20 + 2_000
+    sieve = [True] * limit
+    sieve[0] = sieve[1] = False
+    for p in range(2, isqrt(limit) + 1):
+        if sieve[p]:
+            sieve[p * p :: p] = [False] * len(range(p * p, limit, p))
+    assert [n for n in range(-5, 2) if is_prime(n)] == []
+    for n in range(limit):
+        assert is_prime(n) == sieve[n], n
+    # the last n below 300^2 and the first above it, the last prime below
+    # 2^20, 2^20 itself and the first prime above it
+    assert [is_prime(n) for n in (89_999, 90_001, 1_048_573, 2**20, 1_048_583)] == [
+        False, True, True, False, True]
+
+
+def test_threads_that_build_the_table_at_once_agree(monkeypatch):
+    # each thread may find the table empty and sieve it; every build is the
+    # same bytes, so whichever assignment lands last, every answer holds
+    monkeypatch.setattr(_intmath, "_PRIME_BITS", b"")
+    expected = [is_prime_by_trial_division(n) for n in range(999_000, 1_001_000)]
+    results: dict[int, list[bool]] = {}
+
+    def work(k: int) -> None:
+        results[k] = [is_prime(n) for n in range(999_000, 1_001_000)]
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=work, args=(k,)) for k in range(4)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert [results[k] == expected for k in range(4)] == [True] * 4
+    assert len(_intmath._PRIME_BITS) == 2**16
+
+
+def test_factorize_matches_trial_division_on_cofactors_near_2_20():
+    # every cofactor with no prime factor below 300 within 3 000 of 2^20,
+    # alone and times small primes: table primes, table composites split
+    # by rho, and Miller-Rabin primes above the table
+    cofactors = [c for c in range(2**20 - 3_000, 2**20 + 3_000) if gcd(c, _PRIMORIAL) == 1]
+    below = [c for c in cofactors if c < 2**20]
+    assert any(is_prime(c) for c in below) and not all(is_prime(c) for c in below)
+    assert any(is_prime(c) for c in cofactors if c > 2**20)
+    for c in cofactors + [1021**2, 1031**2, 307 * 3413, 1009 * 1039]:
+        for n in (c, 6 * c, 293 * c):
+            assert factorize(n) == factorize_by_trial_division(n), n
 
 
 @pytest.mark.parametrize("switch", [50_000, 90_000, 1_000_000, 1373653, 25326001, 3215031751])
