@@ -49,8 +49,8 @@ class EisensteinInt:
     __slots__ = ("a", "b")
 
     def __init__(self, a: int = 0, b: int = 0) -> None:
-        object.__setattr__(self, "a", a)
-        object.__setattr__(self, "b", b)
+        _set_a(self, a)
+        _set_b(self, b)
 
     def __setattr__(self, name: str, value: object) -> None:
         raise AttributeError(f"cannot assign to field {name!r}")
@@ -184,6 +184,8 @@ class EisensteinInt:
         return f"{self.a}{self.b:+}w"
 
 
+# the slots' own setters, bound once: __init__ writes past __setattr__
+_set_a, _set_b = EisensteinInt.a.__set__, EisensteinInt.b.__set__
 ZERO = EisensteinInt(0, 0)
 ONE = EisensteinInt(1, 0)
 OMEGA = EisensteinInt(0, 1)
@@ -337,26 +339,17 @@ def _residue_field(pi: EisensteinInt) -> tuple[int, int | None] | None:
     return None
 
 
-def _is_zero_mod(a: int, b: int, p: int, m: int | None) -> bool:
-    """a + b*w = 0 in the residue field (p, m) from _residue_field."""
-    if m is None:
-        return a % p == 0 and b % p == 0
-    return (a + b * m) % p == 0
-
-
 def _split_character(x: int, p: int, m: int) -> CubicCharacterValue:
     """The cubic character of a unit x of F_p = Z[w]/(pi), where w maps to m:
     x^((p - 1)/3) is 1, m or m^2."""
     e = pow(x, (p - 1) // 3, p)
-    roots = {
-        1: CubicCharacterValue.ONE,
-        m: CubicCharacterValue.OMEGA,
-        m * m % p: CubicCharacterValue.OMEGA_SQUARED,
-    }
-    value = roots.get(e)
-    if value is None:
-        raise ArithmeticError(f"{x}^(({p} - 1)/3) mod {p} is not a cube root of unity")
-    return value
+    if e == 1:
+        return CubicCharacterValue.ONE
+    if e == m:
+        return CubicCharacterValue.OMEGA
+    if e == p - 1 - m:  # m^2 = -1 - m, as m is a root of x^2 + x + 1 mod p
+        return CubicCharacterValue.OMEGA_SQUARED
+    raise ArithmeticError(f"{x}^(({p} - 1)/3) mod {p} is not a cube root of unity")
 
 
 def _inert_character(alpha: EisensteinInt, q: int) -> CubicCharacterValue:
@@ -397,11 +390,12 @@ def cubic_character(alpha: EisensteinInt, pi: EisensteinInt) -> CubicCharacterVa
     p, m = field
     if p == 3:
         raise ValueError("the character is not defined at the prime above 3")
-    if _is_zero_mod(alpha.a, alpha.b, p, m):
-        return CubicCharacterValue.ZERO
     if m is None:
-        return _inert_character(alpha, p)
-    return _split_character(alpha.a + alpha.b * m, p, m)
+        if alpha.a % p or alpha.b % p:
+            return _inert_character(alpha, p)
+    elif x := (alpha.a + alpha.b * m) % p:
+        return _split_character(x, p, m)
+    return CubicCharacterValue.ZERO
 
 
 def rational_cubic_symbol(a: int, p: int) -> CubicCharacterValue:
@@ -447,16 +441,17 @@ def factor(z: EisensteinInt) -> EisensteinFactorization:
         raise ValueError("cannot factor 0")
     a, b = z.a, z.b
     out: list[tuple[EisensteinInt, int]] = []
-    for p, norm_exp in sorted(factorize(z.norm()).items()):
+    for p, norm_exp in factorize(z.norm()).items():  # p ascending
         splitting = factor_rational_prime(p)
         inert = splitting.kind is SplitKind.INERT
         total = 0
         for prime in splitting.factors:
+            # N(prime) and, unless inert, w's image m in F_p: from this prime, never its conjugate
             c, d = prime.a, prime.b
-            n = prime.norm()
-            m = None if inert else _omega_residue(prime, p)
+            n = c * c - c * d + d * d
+            m = 0 if inert else -c * pow(d, -1, p) % p
             e = 0
-            while _is_zero_mod(a, b, p, m):
+            while not (a % p or b % p) if inert else (a + b * m) % p == 0:
                 # (a + b*w) * ((c - d) - d*w), then divide both parts by n
                 qa, ra = divmod(a * (c - d) + b * d, n)
                 qb, rb = divmod(b * c - a * d, n)

@@ -21,8 +21,6 @@ from cubic93.eisenstein import (
     EisensteinFactorization,
     EisensteinInt,
     SplitKind,
-    _is_zero_mod,
-    _omega_residue,
     factor_rational_prime,
     primary_associate,
     rational_cubic_symbol,
@@ -113,8 +111,8 @@ def cubic_symbol_of_three(p: int) -> CubicCharacterValue:
 def factor_by_divmod(z: EisensteinInt) -> EisensteinFactorization:
     """Factor z != 0 into a unit and prime powers.
 
-    The library's earlier path: the same residue-field test, but each prime
-    is divided out by EisensteinInt floor division."""
+    Where factor tests residues and divides integer pairs, this tests each
+    prime by EisensteinInt.divides and divides by EisensteinInt floor division."""
     if z.is_zero:
         raise ValueError("cannot factor 0")
     remaining = z
@@ -124,9 +122,8 @@ def factor_by_divmod(z: EisensteinInt) -> EisensteinFactorization:
         inert = splitting.kind is SplitKind.INERT
         total = 0
         for prime in splitting.factors:
-            m = None if inert else _omega_residue(prime, p)
             e = 0
-            while _is_zero_mod(remaining.a, remaining.b, p, m):
+            while prime.divides(remaining):
                 remaining = remaining // prime
                 e += 1
             if e:

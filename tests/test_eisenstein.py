@@ -468,6 +468,20 @@ def test_character_rejects_bad_moduli():
         cubic_character(ONE, EisensteinInt(7))  # 7 splits, not prime here
 
 
+def test_split_character_raises_off_the_cube_roots_of_unity():
+    # 3 is no cube root of unity mod 7 (3^3 = 6), and 2^((7 - 1)/3) = 4 is
+    # none of 1, 3 and 3^2 = 2: a broken residue field raises, under -O too
+    with pytest.raises(ArithmeticError, match=r"^2\^\(\(7 - 1\)/3\) mod 7 is not a cube root"):
+        eisenstein._split_character(2, 7, 3)
+
+
+def test_inert_character_raises_off_the_cube_roots_of_unity():
+    # 7 splits, so F_7[w] is no field: 2^((7^2 - 1)/3) = 2^16 = 2 (mod 7)
+    # is none of 1, w and w^2
+    with pytest.raises(ArithmeticError, match=r"^\(2\)\^\(\(7\^2 - 1\)/3\) mod 7 is not a cube"):
+        eisenstein._inert_character(EisensteinInt(2), 7)
+
+
 def test_character_value_group_law():
     one, w, w2 = (
         CubicCharacterValue.ONE,

@@ -15,6 +15,7 @@ finds hardest.
 from __future__ import annotations
 
 import random
+import signal
 import sys
 import threading
 from math import gcd, isqrt
@@ -23,7 +24,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cubic93 import _intmath
+from cubic93 import _intmath, cli
 from cubic93._intmath import _PRIMORIAL, factorize, is_prime, three_part
 from oracles import factorize_by_trial_division, is_prime_by_trial_division
 
@@ -179,7 +180,9 @@ def test_factorize_matches_trial_division_up_to_2e5():
 @settings(max_examples=60, deadline=None)
 @given(st.integers(1, 10**12 - 1))
 def test_factorize_matches_trial_division_below_1e12(n):
-    assert factorize(n) == factorize_by_trial_division(n)
+    fac = factorize(n)
+    assert fac == factorize_by_trial_division(n)
+    assert list(fac) == sorted(fac)  # eisenstein.factor relies on this order
 
 
 def test_factorize_rejects_non_positive():
@@ -219,6 +222,32 @@ def test_above_the_miller_rabin_range_fails_fast():
     assert factorize(2**90 * 3) == {2: 90, 3: 1}
     q = 10**22 + 9  # prime
     assert factorize(7 * 11 * 13 * q) == {7: 1, 11: 1, 13: 1, q: 1}
+
+
+def test_rho_raises_on_a_prime_read_as_composite(monkeypatch, capsys):
+    # a wrong primality answer hands rho a prime, which no c splits; rho
+    # gives up after _RHO_TRIES values of c and raises, which the CLI maps to
+    # exit 2, instead of searching forever
+    proven = _intmath._proven_prime
+    monkeypatch.setattr(_intmath, "_proven_prime", lambda n: n != 1_000_003 and proven(n))
+
+    def give_up(signum, frame):
+        raise TimeoutError("still searching after 10 s")
+
+    previous = signal.signal(signal.SIGALRM, give_up)
+    signal.alarm(10)
+    try:
+        with pytest.raises(ArithmeticError, match="no factor of 1000003 in 20 tries"):
+            factorize(1_000_003)
+        assert cli.main(["classify", "1000003"]) == 2
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.splitlines() == [
+        "error: Pollard rho found no factor of 1000003 in 20 tries; is it prime?"
+    ]
 
 
 def test_three_part():
