@@ -24,10 +24,11 @@ from __future__ import annotations
 
 import functools
 import math
+from collections.abc import Iterator
 from enum import Enum
 from typing import NamedTuple
 
-from ._intmath import three_part
+from ._intmath import is_prime, three_part
 from .eisenstein import CubicCharacterValue, rational_cubic_symbol
 from .radicand import GerthForm, _collector_paused, _cube_free_forms, gerth_decompose, normalize
 from .ramification import QStar, _ambiguous_rank
@@ -223,42 +224,24 @@ class Verdict(NamedTuple):
     symbol_three: CubicCharacterValue | None = None
 
     def to_json_dict(self) -> dict:
+        """The fields by name and in order, with trace moved last: an enum
+        gives its value, form its name, and a record its own JSON shape."""
+        out = {k: getattr(x, "value", x) for k, x in self._asdict().items()}
+        del out["trace"]
         g = self.decomposition
-        return {
-            "input_d": self.input_d,
-            "d": self.d,
-            "form": self.form.name,
-            "status": self.status.value,
-            "reasons": [
-                {"code": r.code.value, "detail": r.detail, "conjectural": r.conjectural}
-                for r in self.reasons
-            ],
-            "decomposition": {
-                "e": g.e,
-                "class1mod9": [list(x) for x in g.class1mod9],
-                "class47mod9": [list(x) for x in g.class47mod9],
-                "class8mod9": [list(x) for x in g.class8mod9],
-                "class25mod9": [list(x) for x in g.class25mod9],
-                "v": g.v,
-                "w": g.w,
-                "I": g.I,
-                "J": g.J,
+        out.update(
+            form=self.form.name,
+            reasons=[dict(r._asdict(), code=r.code.value) for r in self.reasons],
+            decomposition={
+                "e": g.e, **{k: [list(x) for x in c] for k, c in zip(g._fields[2:], g[2:])},
+                "v": g.v, "w": g.w, "I": g.I, "J": g.J,
             },
-            "t": self.t,
-            "q_star": self.q_star.value,
-            "sigma_rank": self.sigma_rank,
-            "h_gamma3": self.h_gamma3,
-            "u": self.u,
-            "h_k3": self.h_k3,
-            "class_group": list(self.class_group.orders) if self.class_group else None,
-            "predicted_class_group": (
-                list(self.predicted_class_group.orders)
-                if self.predicted_class_group
-                else None
-            ),
-            "symbol_three": self.symbol_three.value if self.symbol_three else None,
-            "trace": list(self.trace),
-        }
+            trace=list(self.trace),
+        )
+        for key in ("class_group", "predicted_class_group"):
+            if out[key] is not None:
+                out[key] = list(out[key].orders)
+        return out
 
 
 def necessary_form(d: int) -> Verdict:
@@ -415,6 +398,16 @@ def _decision(sig: tuple[int, ...]) -> _Decision:
         reasons=() if detail is None else (Reason(code, detail),),
         predicted=predicted,
     )
+
+
+def _candidate_forms(n: int) -> Iterator[GerthForm]:
+    """The form of each d <= n that _decision admits, ascending: d = p and p^2,
+    p prime = 1 (mod 9).  All are 1 (mod 18), as is p^2 for p = 17 (mod 18)."""
+    for d in range(19, n + 1, 18):
+        if is_prime(d):
+            yield GerthForm(d, 0, ((d, 1),), (), (), ())
+        elif (p := math.isqrt(d)) * p == d and p % 18 == 1 and is_prime(p):
+            yield GerthForm(d, 0, ((p, 2),), (), (), ())
 
 
 #: a Verdict from all 16 fields by position: _make checks their number and

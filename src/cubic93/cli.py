@@ -15,11 +15,11 @@ import os
 import shlex
 import sys
 
-from .classifier import Verdict, _decision, _necessary_form, _signature, classify
+from .classifier import Verdict, VerdictStatus, _candidate_forms, _necessary_form, classify
 from .eisenstein import SplitKind, rational_cubic_symbol
 from .fixtures import CasError, FixtureError, reproduce_table
 from .genus import _genus_from_form, format_cubic
-from .radicand import GerthForm, _collector_paused, _cube_free_forms, normalize
+from .radicand import GerthForm, _cube_free_count, normalize
 from .ramification import _ramify_from_form
 
 USAGE_ERROR = 1
@@ -175,29 +175,22 @@ def _cmd_table(args: argparse.Namespace) -> int:
 
 
 def _cmd_scan(args: argparse.Namespace) -> int:
-    total, candidates = _collector_paused(_print_candidates, args.max, args.json)
+    # _decision admits only d = p and p^2, p = 1 (mod 9), as the test of the
+    # elimination over its whole domain checks: those are listed, the rest counted
+    total, candidates = _cube_free_count(args.max), 0
+    for g in _candidate_forms(args.max):
+        v = _necessary_form(g)
+        if v.status is not VerdictStatus.CANDIDATE_NEEDS_DATA:
+            raise ArithmeticError(f"d = {g.d} was listed as a candidate but is {v.status.value}")
+        candidates += 1
+        if args.json:
+            print(json.dumps(v.to_json_dict()))
+        else:
+            print(f"d = {v.input_d:>8d}   canonical {v.d:>8d}   {v.form.value}")
     if not args.json:
         print(f"{total} cube-free radicands <= {args.max}:"
               f" {candidates} candidates, {total - candidates} excluded")
     return 0
-
-
-def _print_candidates(max_d: int, as_json: bool) -> tuple[int, int]:
-    """Print the verdict of each candidate d <= max_d; return the number of
-    cube-free radicands and of candidates."""
-    # streamed: a Verdict is built and printed only for each candidate
-    total = candidates = 0
-    for g in _cube_free_forms(max_d):
-        total += 1
-        if _decision(_signature(g)).code is not None:
-            continue
-        candidates += 1
-        v = _necessary_form(g)
-        if as_json:
-            print(json.dumps(v.to_json_dict()))
-        else:
-            print(f"d = {v.input_d:>8d}   canonical {v.d:>8d}   {v.form.value}")
-    return total, candidates
 
 
 _HANDLERS = {

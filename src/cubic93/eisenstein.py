@@ -364,15 +364,13 @@ def _inert_character(alpha: EisensteinInt, q: int) -> CubicCharacterValue:
             ra, rb = (ra * a - rb * b) % q, (ra * b + rb * a - rb * b) % q
         a, b = (a * a - b * b) % q, (2 * a * b - b * b) % q
         n >>= 1
-    roots = {
-        (1, 0): CubicCharacterValue.ONE,
-        (0, 1): CubicCharacterValue.OMEGA,
-        (q - 1, q - 1): CubicCharacterValue.OMEGA_SQUARED,
-    }
-    value = roots.get((ra, rb))
-    if value is None:
-        raise ArithmeticError(f"({alpha})^(({q}^2 - 1)/3) mod {q} is not a cube root of unity")
-    return value
+    if (ra, rb) == (1, 0):
+        return CubicCharacterValue.ONE
+    if (ra, rb) == (0, 1):
+        return CubicCharacterValue.OMEGA
+    if (ra, rb) == (q - 1, q - 1):  # w^2 = -1 - w
+        return CubicCharacterValue.OMEGA_SQUARED
+    raise ArithmeticError(f"({alpha})^(({q}^2 - 1)/3) mod {q} is not a cube root of unity")
 
 
 def cubic_character(alpha: EisensteinInt, pi: EisensteinInt) -> CubicCharacterValue:

@@ -66,7 +66,7 @@ def _integer(value: object, name: str) -> int:
 def _parse_row(line: str) -> FixtureRow:
     try:
         record = json.loads(line)
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, RecursionError) as exc:  # too deeply nested
         raise ValueError(f"not valid JSON ({exc})") from exc
     if not isinstance(record, dict):
         raise ValueError("expected one JSON object per line")
@@ -96,6 +96,8 @@ def _parse_row(line: str) -> FixtureRow:
             f" = {expected_hk}"
         )
     for key, shape, h in (("c_gamma", c_gamma, "h_gamma3"), ("c_k", c_k, "h_k3")):
+        if (n := len(shape.orders)) > record[h].bit_length():  # order >= 3^n > 2^n > h
+            raise ValueError(f"{key} has {n} cyclic factors, too many for {h} = {record[h]}")
         if shape.order != record[h]:
             raise ValueError(
                 f"{key} = {shape} has order {shape.order}, not {h} = {record[h]}"

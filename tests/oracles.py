@@ -5,6 +5,7 @@ broken invariant here raises instead of failing an assert."""
 
 from __future__ import annotations
 
+import json
 from math import isqrt
 
 from cubic93._intmath import factorize
@@ -15,6 +16,8 @@ from cubic93.classifier import (
     ReasonCode,
     Verdict,
     _decision,
+    _necessary_form,
+    _signature,
 )
 from cubic93.eisenstein import (
     CubicCharacterValue,
@@ -25,7 +28,7 @@ from cubic93.eisenstein import (
     primary_associate,
     rational_cubic_symbol,
 )
-from cubic93.radicand import GerthForm
+from cubic93.radicand import GerthForm, _cube_free_forms
 
 
 def is_prime_by_trial_division(n: int) -> bool:
@@ -184,3 +187,29 @@ def necessary_form_by_properties(g: GerthForm) -> Verdict:
         predicted_class_group=predicted,
         symbol_three=symbol,
     )
+
+
+def scan_output_by_sieve(max_d: int, as_json: bool) -> str:
+    """What `cubic93 scan --max max_d [--json]` prints, by deciding every
+    cube-free radicand that the block sieve gives and printing each one that
+    _decision admits.
+
+    The CLI's earlier path: it counts and decides each radicand, where the
+    CLI now lists only the admitted shape and counts the rest by Moebius."""
+    lines, total = [], 0
+    for g in _cube_free_forms(max_d):
+        total += 1
+        if _decision(_signature(g)).code is not None:
+            continue
+        v = _necessary_form(g)
+        if as_json:
+            lines.append(json.dumps(v.to_json_dict()))
+        else:
+            lines.append(f"d = {v.input_d:>8d}   canonical {v.d:>8d}   {v.form.value}")
+    if not as_json:
+        candidates = len(lines)
+        lines.append(
+            f"{total} cube-free radicands <= {max_d}:"
+            f" {candidates} candidates, {total - candidates} excluded"
+        )
+    return "".join(line + "\n" for line in lines)

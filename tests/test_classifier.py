@@ -22,6 +22,7 @@ from cubic93.classifier import (
     ReasonCode,
     Verdict,
     VerdictStatus,
+    _candidate_forms,
     _decision,
     _necessary_form,
     _signature,
@@ -301,6 +302,8 @@ def test_the_elimination_over_its_whole_domain():
         outcomes.setdefault(clamped, set()).add((dec.code, dec.form, dec.status))
         # the one shape left standing: d = p or p^2 with p = 1 (mod 9)
         assert (dec.code is None) == ((v, w, J, e) == (1, 1, 0, 0)), sig
+        # (v, w, I, J, e) of each form that `cubic93 scan` lists undecided
+        assert (dec.code is None) == (sig[:5] == (1, 1, 0, 0, 0)), sig
         assert dec.t == (e > 0 or d9 not in (1, 8)) + 2 * w + J, sig
         row = [
             sig, None if dec.code is None else dec.code.value, dec.form.name,
@@ -312,6 +315,16 @@ def test_the_elimination_over_its_whole_domain():
         digest.update(json.dumps(row).encode() + b"\n")
     assert all(len(seen) == 1 for seen in outcomes.values())
     assert digest.hexdigest() == _DECISION_TABLE_SHA256
+
+
+def test_the_listed_candidates_are_the_primes_1_mod_9_and_their_squares():
+    sympy = pytest.importorskip("sympy")
+    n = 10**7
+    # the sieve's primerange, as sympy.primerange alone steps by nextprime
+    primes = [p for p in sympy.sieve.primerange(2, n + 1) if p % 9 == 1]
+    forms = list(_candidate_forms(n))
+    assert [g.d for g in forms] == sorted(primes + [p * p for p in primes if p * p <= n])
+    assert all(g == normalize(g.d) for g in forms if g.d < 10**5 or g.class1mod9[0][1] == 2)
 
 
 #: where the trace line of a verdict names the radicand's primes: "with p =
@@ -722,6 +735,8 @@ def test_verdict_json_round_trips_key_fields():
     assert blob["h_k3"] == 27
     assert blob["decomposition"]["w"] == 1
     assert isinstance(blob["trace"], list) and blob["trace"]
+    # the keys are the record's fields, so that the two cannot drift apart
+    assert list(v.to_json_dict()) == [f for f in Verdict._fields if f != "trace"] + ["trace"]
 
     bare = json.loads(json.dumps(necessary_form(42).to_json_dict()))
     assert bare["status"] == "excluded"

@@ -12,6 +12,7 @@ import os
 import shlex
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -21,6 +22,8 @@ from hypothesis import strategies as st
 import cubic93
 from cubic93._intmath import _MR_LIMIT
 from cubic93.cli import _cmd_scan, main
+from cubic93.radicand import normalize
+from oracles import scan_output_by_sieve
 
 
 def subprocess_env() -> dict[str, str]:
@@ -204,6 +207,27 @@ def test_table_fixture_without_rows_is_data_error(tmp_path: Path, capsys, text):
     assert err == f"error: fixture file {path} holds no rows\n"
 
 
+@pytest.mark.parametrize("line, message", [
+    ("[" * 1100, "not valid JSON (maximum recursion depth exceeded"),
+    (json.dumps({"p": 199, "h_gamma3": 9, "h_k3": 27, "u": 1, "c_gamma": [9], "c_k": [3] * 100_000}),
+     "c_k has 100000 cyclic factors, too many for h_k3 = 27"),
+], ids=["nested-1100-deep", "c_k-of-100000"])
+def test_table_fixture_that_strains_the_parser_is_one_error_line(tmp_path: Path, line, message):
+    # the decoder raises RecursionError past the recursion limit, and the
+    # order of a long shape would not fit in the message
+    path = tmp_path / "row.jsonl"
+    path.write_text(line + "\n")
+    start = time.perf_counter()
+    proc = subprocess.run(
+        [sys.executable, "-S", "-m", "cubic93.cli", "table", "--fixtures", str(path)],
+        capture_output=True, text=True, env=subprocess_env(), timeout=120,
+    )
+    assert time.perf_counter() - start < 2
+    assert (proc.returncode, proc.stdout) == (2, "")
+    (err,) = proc.stderr.splitlines()
+    assert err.startswith(f"error: {path}, line 1: {message}"), err
+
+
 def test_table_cas_missing_is_notice_not_failure(capsys):
     code, out, _ = run(capsys, "table", "--cas", "/nonexistent/gp-binary -q")
     assert code == 0
@@ -282,9 +306,24 @@ def test_scan_json(capsys):
     assert all(r["status"] == "candidate_needs_data" for r in records)
 
 
+@pytest.mark.parametrize("max_d", [2, 18, 19, 20, 360, 361, 362, 2000, 200_000])
+@pytest.mark.parametrize("as_json", [False, True])
+def test_scan_prints_what_deciding_every_radicand_prints(capsys, max_d, as_json):
+    # 19 is the first candidate and 361 = 19^2 the first square
+    argv = ["scan", "--max", str(max_d)] + ["--json"] * as_json
+    assert run(capsys, *argv) == (0, scan_output_by_sieve(max_d, as_json), "")
+
+
+def test_scan_refuses_a_listed_radicand_that_is_excluded(capsys, monkeypatch):
+    monkeypatch.setattr(cubic93.cli, "_candidate_forms", lambda n: iter([normalize(7)]))
+    code, out, err = run(capsys, "scan", "--max", "100")
+    assert (code, out) == (2, "")
+    assert err == "error: d = 7 was listed as a candidate but is excluded\n"
+
+
 @pytest.mark.parametrize("enabled", [True, False])
 def test_scan_leaves_the_collector_as_it_found_it(capsys, monkeypatch, enabled):
-    # the streaming loop runs with the cyclic collector paused
+    # the CLI holds one verdict at a time, so it leaves the collector alone
     states = []
 
     def recording(g):
@@ -297,7 +336,7 @@ def test_scan_leaves_the_collector_as_it_found_it(capsys, monkeypatch, enabled):
             gc.disable()
         assert _cmd_scan(argparse.Namespace(max=2000, json=False)) == 0
         assert gc.isenabled() is enabled
-        assert len(states) == 49 and set(states) == {False}
+        assert len(states) == 49 and set(states) == {enabled}
     finally:
         gc.enable()
     assert capsys.readouterr().out.endswith(": 49 candidates, 1615 excluded\n")
@@ -337,7 +376,7 @@ def test_scan_into_a_closed_pipe_exits_quietly():
 
 
 def test_scan_memory_stays_flat():
-    # the scan streams its radicands, so memory holds one sieve block; the
+    # the scan streams its candidates, so memory holds one verdict; the
     # child reads its own VmHWM, as its ru_maxrss keeps the parent's peak
     # across exec on Linux
     if not Path("/proc/self/status").is_file():
@@ -424,9 +463,10 @@ _NUMBER = st.one_of(
 _WORD = st.one_of(_NUMBER, st.text(max_size=8))
 
 
-#: scan bounds that run briefly or are refused: at most 2000, or above 10^8
+#: scan bounds that run briefly or are refused: at most 200 000 (about 0.1 s,
+#: as only the candidates are listed), or above 10^8
 _SCAN_MAX = st.one_of(
-    st.integers(-(10**40), 2000), st.integers(10**8 + 1, 10**40)
+    st.integers(-(10**40), 200_000), st.integers(10**8 + 1, 10**40)
 ).map(str)
 
 

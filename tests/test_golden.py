@@ -62,6 +62,7 @@ CLI_OUTPUT = {
     "scan --max 200": "331e8858e6b5ae9ec9e01c9cd41c51b7195a6776313c4e338c504ad28a6a0335",
     "symbol 2 1000000000000000000000000000057": "3f60561b9b3d84a397160e743b79b70bbfe04d58aa239657f4b6fca9acd73bdf",
     "scan --max 1000000": "a7ed0a66142f127dc4e291b25393d56f7ad5e915932f60e1791ad7bc7a9c269b",
+    "scan --max 10000000": "705cc6380cae5cd30011a7c38b66e0aeab9adef15d3770b842fc7f2a0395b4ec",
 }
 
 

@@ -6,6 +6,8 @@ factorization oracle, independent of the library's factorize.
 
 from __future__ import annotations
 
+import re
+
 import pytest
 
 import cubic93.radicand
@@ -16,6 +18,7 @@ from cubic93.radicand import (
     _SCAN_LIMIT,
     GerthForm,
     _block_forms,
+    _cube_free_count,
     _cube_free_forms,
     gerth_decompose,
     normalize,
@@ -232,3 +235,20 @@ def test_block_sieve_matches_normalize_just_below_the_bound():
     got = list(_block_forms(lo, hi, primes))
     assert got == want
     assert_built_forms(got)
+
+
+def test_cube_free_count_is_the_running_count_of_the_sieve():
+    cube_free = {g.d for g in _cube_free_forms(20_000)}
+    count = 0
+    for n in range(2, 20_001):
+        count += n in cube_free
+        assert _cube_free_count(n) == count, n
+
+
+@pytest.mark.parametrize("limit, message", [
+    (1, "scan bound must be >= 2, got 1"),
+    (_SCAN_LIMIT + 1, "scan bound must be <= 10^8 = 100000000, got 100000001: beyond it"),
+])
+def test_cube_free_count_names_its_bounds(limit, message):
+    with pytest.raises(ValueError, match=re.escape(message)):
+        _cube_free_count(limit)
