@@ -28,7 +28,7 @@ from collections.abc import Iterator
 from enum import Enum
 from typing import NamedTuple
 
-from ._intmath import is_prime, three_part
+from ._intmath import _shown, is_prime, three_part
 from .eisenstein import CubicCharacterValue, rational_cubic_symbol
 from .radicand import GerthForm, _collector_paused, _cube_free_forms, gerth_decompose, normalize
 from .ramification import QStar, _ambiguous_rank
@@ -82,7 +82,7 @@ def hk_from_hgamma(h_gamma: int, u: int) -> int:
         raise ValueError(f"class number must be positive, got {h_gamma}")
     num = u * h_gamma * h_gamma
     if num % 3 != 0:
-        raise ValueError(f"(u/3)*h^2 = {num}/3 is not an integer")
+        raise ValueError(f"(u/3)*h^2 = {_shown(num)}/3 is not an integer")
     return num // 3
 
 

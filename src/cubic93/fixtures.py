@@ -35,7 +35,7 @@ import subprocess
 from pathlib import Path
 from typing import NamedTuple
 
-from ._intmath import is_prime, three_part
+from ._intmath import _PRINT_BITS, _shown, is_prime, three_part
 from .classifier import ClassGroupShape, Verdict, VerdictStatus, classify, hk_from_hgamma
 
 _BUNDLED = "data/type93_fixtures.jsonl"
@@ -66,7 +66,7 @@ def _integer(value: object, name: str) -> int:
 def _parse_row(line: str) -> FixtureRow:
     try:
         record = json.loads(line)
-    except (json.JSONDecodeError, RecursionError) as exc:  # too deeply nested
+    except (ValueError, RecursionError) as exc:  # too deeply nested, or an int too long
         raise ValueError(f"not valid JSON ({exc})") from exc
     if not isinstance(record, dict):
         raise ValueError("expected one JSON object per line")
@@ -91,17 +91,12 @@ def _parse_row(line: str) -> FixtureRow:
         raise ValueError(f"p = {p} is not prime")
     expected_hk = hk_from_hgamma(h_gamma3, u)
     if h_k3 != expected_hk:
-        raise ValueError(
-            f"h_k3 = {h_k3} violates h_k3 = (u/3)*h_gamma3^2"
-            f" = {expected_hk}"
-        )
+        raise ValueError(f"h_k3 = {h_k3} violates h_k3 = (u/3)*h_gamma3^2 = {_shown(expected_hk)}")
     for key, shape, h in (("c_gamma", c_gamma, "h_gamma3"), ("c_k", c_k, "h_k3")):
         if (n := len(shape.orders)) > record[h].bit_length():  # order >= 3^n > 2^n > h
             raise ValueError(f"{key} has {n} cyclic factors, too many for {h} = {record[h]}")
-        if shape.order != record[h]:
-            raise ValueError(
-                f"{key} = {shape} has order {shape.order}, not {h} = {record[h]}"
-            )
+        if (order := shape.order) != record[h]:
+            raise ValueError(f"{key} = {shape} has order {_shown(order)}, not {h} = {record[h]}")
     return FixtureRow(p, h_gamma3, h_k3, u, c_gamma, c_k)
 
 
@@ -160,17 +155,17 @@ def _script(d: int) -> str:
     )
 
 
-def _three_part(invariants: list[int]) -> ClassGroupShape:
-    """The 3-group shape of positive cyclic invariants; its order is the 3-class number."""
-    parts = sorted((g for g in map(three_part, invariants) if g > 1), reverse=True)
-    return ClassGroupShape(tuple(parts))
-
-
-def _parse_invariants(output: str, tag: str) -> list[int]:
+def _tagged_shape(output: str, tag: str) -> ClassGroupShape:
+    """The 3-group shape of the invariants on gp's tag line; its order is the 3-class number."""
     for line in output.splitlines():
-        line = line.strip()
-        if line.startswith(tag):
-            return [int(x) for x in re.findall(r"-?\d+", line[len(tag) :])]
+        if (line := line.strip()).startswith(tag):
+            invariants = map(int, re.findall(r"-?\d+", line[len(tag) :]))
+            parts = sorted((g for g in map(three_part, invariants) if g > 1), reverse=True)
+            # refused before it is multiplied out: by Landau's bound no field of a
+            # d below 3.3e24 has a class number anywhere near 2^_PRINT_BITS
+            if (bits := sum(g.bit_length() for g in parts)) > _PRINT_BITS:
+                raise ValueError(f"{tag} lists {len(parts)} cyclic 3-parts, {bits} bits: too large")
+            return ClassGroupShape(tuple(parts))
     raise CasError(f"no '{tag}' line in CAS output: {output!r}")
 
 
@@ -197,8 +192,7 @@ def cas_query(d: int, command: tuple[str, ...]) -> FixtureRow:
             f"CAS exited with {proc.returncode} for d = {d}: {proc.stderr.strip()}"
         )
     try:
-        c_gamma = _three_part(_parse_invariants(proc.stdout, _CUBIC_TAG))
-        c_k = _three_part(_parse_invariants(proc.stdout, _SEXTIC_TAG))
+        c_gamma, c_k = (_tagged_shape(proc.stdout, tag) for tag in (_CUBIC_TAG, _SEXTIC_TAG))
     except ValueError as exc:
         raise CasError(f"bad class group invariant for d = {d}: {exc}") from exc
     h_gamma3, h_k3 = c_gamma.order, c_k.order

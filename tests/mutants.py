@@ -1,0 +1,256 @@
+"""Mutation checks: each entry below breaks the library in one place and names
+the tests that must then fail, so that a test which a later change makes
+vacuous shows up as a survived mutant.
+
+    python tests/mutants.py [name ...]
+
+For each entry (or each one named) this copies src/ to a temporary directory,
+applies the entry's one replacement, which must occur exactly once in its file,
+and runs the named tests with PYTHONPATH pointing at the copy.  It prints one
+JSON line per mutant: its name, "killed" when every named test failed,
+"survived" when one of them passed (those are listed), or "error" when the
+replacement or the test run could not be made, and the seconds it took.  The
+exit status is 0 when every mutant is killed, except the entries marked to
+survive, which must survive; it is 1 otherwise.  It needs only the standard
+library and pytest, and runs the mutants one after another.
+"""
+
+from __future__ import annotations
+
+import json
+import os
+import re
+import shutil
+import subprocess
+import sys
+import tempfile
+import time
+from pathlib import Path
+from typing import NamedTuple
+
+ROOT = Path(__file__).resolve().parents[1]
+SRC = ROOT / "src"
+
+
+class Mutant(NamedTuple):
+    name: str
+    file: str  # relative to src/
+    old: str
+    new: str
+    tests: tuple[str, ...]  # node ids, relative to the repository root
+    survives: bool = False  # a control: the named tests must still pass
+
+
+_SIEVE = "tests/test_intmath.py::test_matches_a_plain_sieve_across_the_table"
+_DOMAIN = "tests/test_classifier.py::test_the_elimination_over_its_whole_domain"
+_STRAINS = "tests/test_cli.py::test_table_fixture_that_strains_the_parser_is_one_error_line"
+_SCAN_ORACLE = "tests/test_cli.py::test_scan_prints_what_deciding_every_radicand_prints"
+
+MUTANTS = (
+    # the prime table's builder
+    Mutant(
+        "sieve starts one step late", "cubic93/_intmath.py",
+        "plane[p * q >> 4 :: p] = bytes(len(range(p * q >> 4, len(plane), p)))",
+        "plane[(p * q >> 4) + p :: p] = bytes(len(range((p * q >> 4) + p, len(plane), p)))",
+        (_SIEVE,),
+    ),
+    Mutant(
+        "bit planes packed in reverse", "cubic93/_intmath.py",
+        'bits |= int.from_bytes(plane, "little") << k',
+        'bits |= int.from_bytes(plane, "little") << (7 - k)',
+        (_SIEVE,),
+    ),
+    Mutant(
+        "sieving primes stop at 2^9", "cubic93/_intmath.py",
+        "range(3, 1 << 10, 2)", "range(3, 1 << 9, 2)",
+        (_SIEVE,),
+    ),
+    Mutant(
+        "table bit of 1047791 = 307 * 3413 flipped", "cubic93/_intmath.py",
+        '_PRIME_BITS = bits.to_bytes(_TABLE_LIMIT >> 4, "little")',
+        '_PRIME_BITS = (bits ^ 1 << (1047791 >> 1)).to_bytes(_TABLE_LIMIT >> 4, "little")',
+        (_SIEVE,),
+    ),
+    # the two parsers of outside data
+    Mutant(
+        "relation message prints the h_k3 a huge h_gamma3 implies", "cubic93/fixtures.py",
+        "= {_shown(expected_hk)}", "= {expected_hk}",
+        (
+            f"{_STRAINS}[h_gamma3-of-2386-digits]",
+            "tests/test_data_bridge.py::test_any_fixture_line_is_a_row_or_one_fixture_error",
+        ),
+    ),
+    Mutant(
+        "CAS shape multiplied out however long", "cubic93/fixtures.py",
+        "if (bits := sum(g.bit_length() for g in parts)) > _PRINT_BITS:",
+        "if (bits := sum(g.bit_length() for g in parts)) > 100 * _PRINT_BITS:",
+        (
+            "tests/test_cli.py::test_table_cas_answer_with_200000_cyclic_factors_is_one_error_line",
+            "tests/test_data_bridge.py::test_any_gp_output_is_a_row_or_one_cas_error",
+        ),
+    ),
+    Mutant(
+        "RecursionError from the JSON decoder not caught", "cubic93/fixtures.py",
+        "except (ValueError, RecursionError) as exc:", "except ValueError as exc:",
+        (f"{_STRAINS}[nested-1100-deep]",),
+    ),
+    Mutant(
+        "cyclic factors not counted before the order", "cubic93/fixtures.py",
+        "if (n := len(shape.orders)) > record[h].bit_length():",
+        "if (n := len(shape.orders)) > record[h].bit_length() + 10**6:",
+        (f"{_STRAINS}[c_k-of-100000]",),
+    ),
+    # the residue characters
+    Mutant(
+        "split character returns instead of raising", "cubic93/eisenstein.py",
+        'raise ArithmeticError(f"{x}^(({p} - 1)/3) mod {p} is not a cube root of unity")',
+        "return CubicCharacterValue.ONE",
+        ("tests/test_eisenstein.py::test_split_character_raises_off_the_cube_roots_of_unity",),
+    ),
+    Mutant(
+        "inert character returns instead of raising", "cubic93/eisenstein.py",
+        'raise ArithmeticError(f"({alpha})^(({q}^2 - 1)/3) mod {q} is not a cube root of unity")',
+        "return CubicCharacterValue.ONE",
+        ("tests/test_eisenstein.py::test_inert_character_raises_off_the_cube_roots_of_unity",),
+    ),
+    # the elimination
+    Mutant(
+        "decision: the J == 0 branch before the J == 0 and v == 1 branch", "cubic93/classifier.py",
+        """    elif J == 0 and v == 1:
+        code, form, named = ReasonCode.THREE_TIMES_SPLIT_RANK, FormClass.THREE_P_1MOD9, True
+        line = (
+            f"3 and {{p}} = 1 (mod 9) ramify: t = {t} primes of k0"
+            " (lam and the two above p), all non-lam ones 1 mod lam^3,"
+            f" so q* = 1 and the ambiguous rank is {sigma_rank};"
+            " type (9, 3) needs ambiguous rank 1"
+        )
+        detail = f"t = {t}, q* = 1, ambiguous rank {sigma_rank} != 1"
+    elif J == 0:
+        code, form = ReasonCode.THREE_TIMES_NONRESIDUE_CYCLIC, FormClass.THREE_P_47MOD9
+        named, predicted = True, _CYCLIC_3
+        line = (
+            "d = {factors} with {p} = 4 or 7 (mod 9): for this shape"
+            " the sextic 3-class group is cyclic of order 3, not (9, 3)"
+        )
+        detail = "C_k3 is cyclic of order 3 for 3^e * p^e1 with p = 4 or 7 (mod 9)"
+""",
+        """    elif J == 0:
+        code, form = ReasonCode.THREE_TIMES_NONRESIDUE_CYCLIC, FormClass.THREE_P_47MOD9
+        named, predicted = True, _CYCLIC_3
+        line = (
+            "d = {factors} with {p} = 4 or 7 (mod 9): for this shape"
+            " the sextic 3-class group is cyclic of order 3, not (9, 3)"
+        )
+        detail = "C_k3 is cyclic of order 3 for 3^e * p^e1 with p = 4 or 7 (mod 9)"
+    elif J == 0 and v == 1:
+        code, form, named = ReasonCode.THREE_TIMES_SPLIT_RANK, FormClass.THREE_P_1MOD9, True
+        line = (
+            f"3 and {{p}} = 1 (mod 9) ramify: t = {t} primes of k0"
+            " (lam and the two above p), all non-lam ones 1 mod lam^3,"
+            f" so q* = 1 and the ambiguous rank is {sigma_rank};"
+            " type (9, 3) needs ambiguous rank 1"
+        )
+        detail = f"t = {t}, q* = 1, ambiguous rank {sigma_rank} != 1"
+""",
+        (_DOMAIN,),
+    ),
+    Mutant(
+        "t one too high at J = 6", "cubic93/ramification.py",
+        "t = three + 2 * w + J", "t = three + 2 * w + J + (J == 6)",
+        (_DOMAIN,),
+    ),
+    # the exact period check of genus
+    Mutant(
+        "period check: a wrong coset label", "cubic93/genus.py",
+        "coset[t] = 2", "coset[t] = 1",
+        ("tests/test_genus.py::test_exact_check_rejects_perturbed_cubics[199]",),
+    ),
+    Mutant(
+        "period check: an off-by-one coset index", "cubic93/genus.py",
+        "etas[coset[t]] += z", "etas[coset[t - 1]] += z",
+        ("tests/test_genus.py::test_exact_check_rejects_perturbed_cubics[199]",),
+    ),
+    # scan --max's listing and count
+    Mutant(
+        "squares p^2 not listed", "cubic93/classifier.py",
+        "elif (p := math.isqrt(d)) * p == d and p % 18 == 1 and is_prime(p):", "elif False:",
+        (f"{_SCAN_ORACLE}[False-361]", f"{_SCAN_ORACLE}[True-361]"),
+    ),
+    Mutant(
+        "squares of p = 17 (mod 18) listed too", "cubic93/classifier.py",
+        "* p == d and p % 18 == 1 and is_prime(p)", "* p == d and is_prime(p)",
+        (f"{_SCAN_ORACLE}[False-360]", f"{_SCAN_ORACLE}[True-360]"),
+    ),
+    Mutant(
+        "cube-free count includes m = 1", "cubic93/radicand.py",
+        "total, k = -1, 1", "total, k = 0, 1",
+        ("tests/test_radicand.py::test_cube_free_count_is_the_running_count_of_the_sieve",),
+    ),
+    # the collector pause that scan shares with every other thread
+    Mutant(
+        "collector not turned back on after a scan", "cubic93/radicand.py",
+        "        if enabled:\n            gc.enable()", "        if enabled:\n            pass",
+        ("tests/test_classifier.py::test_scan_and_classify_in_two_threads_give_the_verdicts_of_one",),
+    ),
+    # the control: a comment edit changes no behaviour, so nothing can kill it
+    Mutant(
+        "comment edited (control)", "cubic93/_intmath.py",
+        "#: Pollard-Brent rho steps per gcd", "#: Pollard-Brent rho steps per gcd (edited)",
+        (_SIEVE,), survives=True,
+    ),
+)
+
+
+def run(mutant: Mutant) -> dict[str, object]:
+    """Apply mutant to a copy of src/ and run its tests there."""
+    start = time.perf_counter()
+    record: dict[str, object] = {"name": mutant.name}
+    with tempfile.TemporaryDirectory(prefix="cubic93-mutant-") as tmp:
+        copy = Path(tmp) / "src"
+        shutil.copytree(SRC, copy, ignore=shutil.ignore_patterns("__pycache__", "*.egg-info"))
+        path = copy / mutant.file
+        text = path.read_text(encoding="utf-8")
+        if (found := text.count(mutant.old)) != 1:
+            return {**record, "result": "error", "why": f"old occurs {found} times in {mutant.file}"}
+        path.write_text(text.replace(mutant.old, mutant.new), encoding="utf-8")
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(copy), env.get("PYTHONPATH")]))
+        where = subprocess.run(
+            [sys.executable, "-c", "import cubic93; print(cubic93.__file__)"],
+            capture_output=True, text=True, env=env, cwd=ROOT,
+        ).stdout.strip()
+        if not where.startswith(str(copy)):
+            return {**record, "result": "error", "why": f"cubic93 imports from {where!r}"}
+        proc = subprocess.run(
+            [sys.executable, "-m", "pytest", "-q", "-rf", "-p", "no:cacheprovider", *mutant.tests],
+            capture_output=True, text=True, env=env, cwd=ROOT,
+        )
+    failed = set(re.findall(r"^FAILED (.+?)(?: - .*)?$", proc.stdout, re.MULTILINE))
+    passed = [t for t in mutant.tests if t not in failed]
+    if proc.returncode not in (0, 1):  # a named test that does not exist, or a crash
+        return {**record, "result": "error", "why": proc.stdout.strip().splitlines()[-1:]}
+    return {
+        **record,
+        "result": "survived" if passed else "killed",
+        "passed": passed,
+        "seconds": round(time.perf_counter() - start, 2),
+    }
+
+
+def main(names: list[str]) -> int:
+    unknown = set(names) - {m.name for m in MUTANTS}
+    if unknown:
+        print(f"no mutant named {sorted(unknown)}", file=sys.stderr)
+        return 2
+    ok = True
+    for mutant in MUTANTS:
+        if names and mutant.name not in names:
+            continue
+        record = run(mutant)
+        print(json.dumps(record), flush=True)
+        ok &= record["result"] == ("survived" if mutant.survives else "killed")
+    return 0 if ok else 1
+
+
+if __name__ == "__main__":
+    sys.exit(main(sys.argv[1:]))

@@ -9,11 +9,14 @@ import itertools
 import json
 import operator
 import re
+import sys
+import threading
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import cubic93._intmath
 import cubic93.classifier
 import cubic93.ramification
 from cubic93.classifier import (
@@ -32,7 +35,7 @@ from cubic93.classifier import (
     scan,
     type93_equivalence,
 )
-from cubic93.eisenstein import CubicCharacterValue, rational_cubic_symbol
+from cubic93.eisenstein import CubicCharacterValue, factor_rational_prime, rational_cubic_symbol
 from cubic93.radicand import GerthForm, _cube_free_forms, normalize
 from cubic93.ramification import ramify
 from oracles import cube_free_sieve, necessary_form_by_properties, primes_below
@@ -618,6 +621,43 @@ def test_scan_leaves_no_cyclic_garbage():
         assert gc.collect() == 0
     finally:
         gc.enable()
+
+
+def test_scan_and_classify_in_two_threads_give_the_verdicts_of_one(monkeypatch):
+    # the README says every module is safe for concurrent use.  The caches
+    # and the prime table start empty, so the threads fill them together,
+    # switching every microsecond; and the collector, which scan pauses for
+    # the whole process, is on again when both are done
+    def classify_all() -> list[object]:
+        out: list[object] = []
+        for d in range(2, 3000):
+            try:
+                out.append(classify(d, 9, 1))
+            except ValueError as exc:  # a perfect cube
+                out.append(repr(exc))
+        return out
+
+    expected = {"scan": scan(20_000), "classify": classify_all()}
+    _decision.cache_clear()
+    factor_rational_prime.cache_clear()
+    monkeypatch.setattr(cubic93._intmath, "_PRIME_BITS", b"")
+    got: dict[str, object] = {}
+    threads = [
+        threading.Thread(target=lambda: got.update(scan=scan(20_000))),
+        threading.Thread(target=lambda: got.update(classify=classify_all())),
+    ]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=120)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert got == expected
+    assert gc.isenabled()
 
 
 def test_scan_equals_the_per_radicand_pipeline():

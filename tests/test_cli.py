@@ -211,10 +211,13 @@ def test_table_fixture_without_rows_is_data_error(tmp_path: Path, capsys, text):
     ("[" * 1100, "not valid JSON (maximum recursion depth exceeded"),
     (json.dumps({"p": 199, "h_gamma3": 9, "h_k3": 27, "u": 1, "c_gamma": [9], "c_k": [3] * 100_000}),
      "c_k has 100000 cyclic factors, too many for h_k3 = 27"),
-], ids=["nested-1100-deep", "c_k-of-100000"])
+    (json.dumps({"p": 199, "h_gamma3": 3**5000, "h_k3": 27, "u": 1, "c_gamma": [9], "c_k": [9, 3]}),
+     "h_k3 = 27 violates h_k3 = (u/3)*h_gamma3^2 = a 15849-bit integer"),
+], ids=["nested-1100-deep", "c_k-of-100000", "h_gamma3-of-2386-digits"])
 def test_table_fixture_that_strains_the_parser_is_one_error_line(tmp_path: Path, line, message):
-    # the decoder raises RecursionError past the recursion limit, and the
-    # order of a long shape would not fit in the message
+    # the decoder raises RecursionError past the recursion limit, the order
+    # of a long shape would not fit in the message, and neither would the
+    # h_k3 that a 2386-digit h_gamma3 implies (CPython prints at most 4300)
     path = tmp_path / "row.jsonl"
     path.write_text(line + "\n")
     start = time.perf_counter()
@@ -226,6 +229,32 @@ def test_table_fixture_that_strains_the_parser_is_one_error_line(tmp_path: Path,
     assert (proc.returncode, proc.stdout) == (2, "")
     (err,) = proc.stderr.splitlines()
     assert err.startswith(f"error: {path}, line 1: {message}"), err
+
+
+def test_table_cas_answer_with_200000_cyclic_factors_is_one_error_line(tmp_path: Path):
+    # its order, 3^200000, would take seconds to multiply out and could not be
+    # printed in the message; the answer is refused before either
+    stand_in = tmp_path / "gp.py"
+    stand_in.write_text(
+        "import sys\nsys.stdin.read()\n"
+        "print('CUBIC [' + ', '.join(['3'] * 200_000) + ']')\nprint('SEXTIC [9, 3]')\n"
+    )
+    row = tmp_path / "row.jsonl"
+    row.write_text(json.dumps(
+        {"p": 199, "h_gamma3": 9, "h_k3": 27, "u": 1, "c_gamma": [9], "c_k": [9, 3]}) + "\n")
+    cas = shlex.join([sys.executable, "-S", str(stand_in)])
+    start = time.perf_counter()
+    proc = subprocess.run(
+        [sys.executable, "-S", "-m", "cubic93.cli", "table", "--fixtures", str(row), "--cas", cas],
+        capture_output=True, text=True, env=subprocess_env(), timeout=120,
+    )
+    assert time.perf_counter() - start < 2
+    assert (proc.returncode, proc.stdout) == (2, "")
+    (err,) = proc.stderr.splitlines()
+    assert err == (
+        "error: bad class group invariant for d = 199:"
+        " CUBIC lists 200000 cyclic 3-parts, 400000 bits: too large"
+    )
 
 
 def test_table_cas_missing_is_notice_not_failure(capsys):

@@ -9,10 +9,14 @@ from __future__ import annotations
 import json
 import random
 import re
+import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import cubic93.fixtures
 from cubic93.classifier import ClassGroupShape, hk_from_hgamma
@@ -21,6 +25,7 @@ from cubic93.fixtures import (
     CasUnavailableError,
     FixtureError,
     FixtureRow,
+    _parse_lines,
     cas_query,
     load_bundled_fixtures,
     load_fixtures,
@@ -152,6 +157,64 @@ def test_load_empty_file(tmp_path: Path):
 def test_load_missing_file(tmp_path: Path):
     with pytest.raises(FixtureError, match="does not exist"):
         load_fixtures(tmp_path / "nope.jsonl")
+
+
+# an integer of up to about 4000 digits: small, a power of 3 (the orders of a
+# shape), or any size in between; CPython reads and prints up to 4300 digits
+INTEGERS = st.one_of(
+    st.integers(-30, 300),
+    st.integers(0, 8000).map(lambda e: 3**e),
+    st.integers(-(10**4000), 10**4000),
+)
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.floats() | INTEGERS | st.text(max_size=4),
+    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(st.text(max_size=3), inner, max_size=3),
+    max_leaves=8,
+)
+# lists of up to 10^5 entries, of small entries only, so that a line stays
+# below a megabyte
+LONG_LISTS = st.tuples(
+    st.sampled_from([3, 9, 27, 1, 0, -3, 6, True, 1.5, None]), st.integers(0, 10**5)
+).map(lambda entry_count: [entry_count[0]] * entry_count[1])
+VALID_ROW = {"p": 199, "h_gamma3": 9, "h_k3": 27, "u": 1, "c_gamma": [9], "c_k": [9, 3]}
+
+
+@st.composite
+def fixture_lines(draw) -> str:
+    """A line of a fixture file: mostly the valid row with fields replaced,
+    dropped or added, else nesting past the recursion limit, or any text."""
+    kind = draw(st.sampled_from(["row", "row", "row", "nested", "text"]))
+    if kind == "nested":
+        depth = draw(st.integers(1, 5000))
+        return draw(st.sampled_from(["[" * depth + "]" * depth, '{"a": ' * depth + "1" + "}" * depth]))
+    if kind == "text":
+        return " ".join(draw(st.text()).splitlines())
+    row = dict(VALID_ROW)
+    for key in draw(st.sets(st.sampled_from(FixtureRow._fields), max_size=3)):
+        shapes = [LONG_LISTS, st.lists(INTEGERS, max_size=4)] if key.startswith("c_") else []
+        row[key] = draw(st.one_of(INTEGERS, *shapes, JSON_VALUES))
+    rarely = st.sampled_from([False] * 7 + [True])
+    if draw(rarely):
+        row.pop(draw(st.sampled_from(FixtureRow._fields)))
+    if draw(rarely):
+        row[draw(st.text(max_size=3))] = draw(JSON_VALUES)
+    return json.dumps(row)
+
+
+@settings(max_examples=150, deadline=None)
+@given(fixture_lines())
+@example(json.dumps({**VALID_ROW, "h_gamma3": 3**5000}))
+@example(json.dumps({**VALID_ROW, "c_k": [3] * 100_000}))
+@example("[" * 1100)
+def test_any_fixture_line_is_a_row_or_one_fixture_error(line):
+    # the message names the row's fault: it never trips over CPython's limit
+    # on printing an int, which no parsed value here reaches
+    start = time.perf_counter()
+    try:
+        _parse_lines(line, "f")
+    except FixtureError as exc:
+        assert str(exc).startswith("f, line 1: ") and "Exceeds the limit" not in str(exc)
+    assert time.perf_counter() - start < 2
 
 
 # ------------------------------------------------------------ table reproduction
@@ -304,6 +367,37 @@ def test_cas_nonzero_exit(tmp_path: Path):
     command = make_stub(tmp_path, "import sys; sys.exit(3)")
     with pytest.raises(CasError, match="exited with 3"):
         cas_query(199, command)
+
+
+@st.composite
+def gp_outputs(draw) -> str:
+    """What a gp stand-in might print: tagged lines of invariants, long or
+    short, around any text."""
+    lines = draw(st.lists(st.text(max_size=8), max_size=2))
+    for tag in draw(st.lists(st.sampled_from(["CUBIC", "SEXTIC", "CUBIC ", "SEXTIC:"]), max_size=3)):
+        invariants = draw(st.one_of(st.lists(INTEGERS, max_size=6), LONG_LISTS))
+        lines.insert(draw(st.integers(0, len(lines))), f"{tag} {invariants}")
+    return "\n".join(lines) + "\n"
+
+
+@settings(max_examples=150, deadline=None)
+@given(gp_outputs())
+@example("CUBIC [" + ", ".join(["3"] * 10_000) + "]\nSEXTIC [9, 3]\n")
+@example("CUBIC [" + ", ".join(["3"] * 200_000) + "]\nSEXTIC [9, 3]\n")
+def test_any_gp_output_is_a_row_or_one_cas_error(stdout):
+    def gp(argv, **kwargs):
+        return subprocess.CompletedProcess(argv, 0, stdout=stdout, stderr="")
+
+    start = time.perf_counter()
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(cubic93.fixtures.subprocess, "run", gp)
+        try:
+            row = cas_query(199, ("gp",))
+        except CasError:
+            pass
+        else:
+            assert row.p == 199 and row.u in (1, 3)
+    assert time.perf_counter() - start < 2
 
 
 def test_reproduce_table_with_cas_stub(tmp_path: Path):
