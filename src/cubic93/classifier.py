@@ -454,13 +454,6 @@ def _necessary_form(g: GerthForm) -> Verdict:
     ))
 
 
-def _validate_h3(h_gamma3: int) -> None:
-    if h_gamma3 < 1:
-        raise ValueError(f"h_gamma3 must be positive, got {h_gamma3}")
-    if three_part(h_gamma3) != h_gamma3:
-        raise ValueError(f"h_gamma3 must be a power of 3, got {h_gamma3}")
-
-
 def classify(d: int, h_gamma3: int | None = None, u: int | None = None) -> Verdict:
     """Classify any integer radicand d >= 2, with optional external data.
 
@@ -468,8 +461,10 @@ def classify(d: int, h_gamma3: int | None = None, u: int | None = None) -> Verdi
     rejected).  h_gamma3 is the exact 3-part of the cubic field's class
     number; u is the unit index of the sextic field, 1 or 3.
     """
-    if h_gamma3 is not None:
-        _validate_h3(h_gamma3)
+    if h_gamma3 is not None and h_gamma3 < 1:
+        raise ValueError(f"h_gamma3 must be positive, got {h_gamma3}")
+    if h_gamma3 is not None and three_part(h_gamma3) != h_gamma3:
+        raise ValueError(f"h_gamma3 must be a power of 3, got {h_gamma3}")
     if u is not None and u not in (1, 3):
         raise ValueError(f"unit index must be 1 or 3, got {u}")
 
@@ -556,4 +551,4 @@ def scan(max_d: int) -> list[Verdict]:
             f"scan bound must be <= {_SCAN_LIST_LIMIT}, got {max_d}: scan returns one"
             " verdict per radicand; `cubic93 scan --max` streams bounds up to 10^8"
         )
-    return _collector_paused(list, map(_necessary_form, _cube_free_forms(max_d)))
+    return _collector_paused(map(_necessary_form, _cube_free_forms(max_d)))

@@ -52,28 +52,35 @@ def build_parser() -> _Parser:
     p_classify.add_argument("--u", type=int, choices=(1, 3), default=None,
                             help="unit index of the sextic field")
     p_classify.add_argument("--json", action="store_true")
+    p_classify.set_defaults(run=_cmd_classify)
 
     p_dec = sub.add_parser("decompose", help="mod-9 decomposition of d")
     p_dec.add_argument("d", type=int)
+    p_dec.set_defaults(run=_cmd_decompose)
 
     p_ram = sub.add_parser("ramify", help="t, q*, ambiguous rank report")
     p_ram.add_argument("d", type=int)
+    p_ram.set_defaults(run=_cmd_ramify)
 
     p_gen = sub.add_parser("genus", help="r, 3^r and the M(p) polynomials")
     p_gen.add_argument("d", type=int)
+    p_gen.set_defaults(run=_cmd_genus)
 
     p_sym = sub.add_parser("symbol", help="rational cubic residue symbol (a/p)_3")
     p_sym.add_argument("a", type=int)
     p_sym.add_argument("p", type=int)
+    p_sym.set_defaults(run=_cmd_symbol)
 
     p_table = sub.add_parser("table", help="re-certify the bundled fixture table")
     p_table.add_argument("--fixtures", default=None, help="fixture file path")
     p_table.add_argument("--cas", default=None,
                          help="CAS command, e.g. 'gp -q'; recompute rows with it")
+    p_table.set_defaults(run=_cmd_table)
 
     p_scan = sub.add_parser("scan", help="all candidate radicands up to a bound")
     p_scan.add_argument("--max", type=int, required=True)
     p_scan.add_argument("--json", action="store_true")
+    p_scan.set_defaults(run=_cmd_scan)
 
     return parser
 
@@ -193,22 +200,11 @@ def _cmd_scan(args: argparse.Namespace) -> int:
     return 0
 
 
-_HANDLERS = {
-    "classify": _cmd_classify,
-    "decompose": _cmd_decompose,
-    "ramify": _cmd_ramify,
-    "genus": _cmd_genus,
-    "symbol": _cmd_symbol,
-    "table": _cmd_table,
-    "scan": _cmd_scan,
-}
-
-
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        code = _HANDLERS[args.command](args)
+        code = args.run(args)
         # flush here so that a closed pipe surfaces below, not at exit
         sys.stdout.flush()
         return code

@@ -107,7 +107,7 @@ class EisensteinInt:
     __rmul__ = __mul__
 
     def __eq__(self, other: object) -> bool:
-        o = self._coerce(other) if isinstance(other, (EisensteinInt, int)) else None
+        o = self._coerce(other)
         if o is None:
             return NotImplemented
         return self.a == o.a and self.b == o.b
@@ -159,8 +159,7 @@ class EisensteinInt:
         if exponent < 0:
             if not self.is_unit:
                 raise ValueError("negative powers exist only for units")
-            inv = next(u for u in UNITS if (self * u) == ONE)
-            return inv ** (-exponent)
+            return self.conjugate() ** -exponent  # u * conj(u) = N(u) = 1
         result = ONE
         base = self
         n = exponent

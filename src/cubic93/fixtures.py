@@ -31,6 +31,7 @@ from __future__ import annotations
 
 import json
 import re
+import reprlib
 import subprocess
 from pathlib import Path
 from typing import NamedTuple
@@ -59,7 +60,7 @@ class FixtureRow(NamedTuple):  # its fields are the file's keys, in order
 def _integer(value: object, name: str) -> int:
     """value itself if it is a JSON integer; bools, floats and strings fail."""
     if type(value) is not int:
-        raise ValueError(f"{name} must be an integer, got {value!r}")
+        raise ValueError(f"{name} must be an integer, got {reprlib.repr(value)}")
     return value
 
 
@@ -84,8 +85,13 @@ def _parse_row(line: str) -> FixtureRow:
         tuple(_integer(x, f"{k} entry") for x in record[k])
         for k in ("c_gamma", "c_k")
     )
-    c_gamma = ClassGroupShape(gamma_orders)
-    c_k = ClassGroupShape(k_orders)
+    # on plain ints, before ClassGroupShape divides them; twice the log2(h) + n bits of a valid shape
+    for key, orders, h in (("c_gamma", gamma_orders, "h_gamma3"), ("c_k", k_orders, "h_k3")):
+        if (n := len(orders)) > record[h].bit_length():  # order >= 3^n > 2^n > h
+            raise ValueError(f"{key} has {n} cyclic factors, too many for {h} = {record[h]}")
+        if (bits := sum(x.bit_length() for x in orders)) > 2 * (record[h].bit_length() + n):
+            raise ValueError(f"{key} orders hold {bits} bits, too many for {h} = {record[h]}")
+    c_gamma, c_k = ClassGroupShape(gamma_orders), ClassGroupShape(k_orders)
     # is_prime raises ValueError for p above the range where primality is proven
     if not is_prime(p):
         raise ValueError(f"p = {p} is not prime")
@@ -93,8 +99,6 @@ def _parse_row(line: str) -> FixtureRow:
     if h_k3 != expected_hk:
         raise ValueError(f"h_k3 = {h_k3} violates h_k3 = (u/3)*h_gamma3^2 = {_shown(expected_hk)}")
     for key, shape, h in (("c_gamma", c_gamma, "h_gamma3"), ("c_k", c_k, "h_k3")):
-        if (n := len(shape.orders)) > record[h].bit_length():  # order >= 3^n > 2^n > h
-            raise ValueError(f"{key} has {n} cyclic factors, too many for {h} = {record[h]}")
         if (order := shape.order) != record[h]:
             raise ValueError(f"{key} = {shape} has order {_shown(order)}, not {h} = {record[h]}")
     return FixtureRow(p, h_gamma3, h_k3, u, c_gamma, c_k)

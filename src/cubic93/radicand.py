@@ -23,10 +23,10 @@ a whole range at once, from a block sieve, and factors nothing.
 from __future__ import annotations
 
 import gc
-from collections.abc import Callable, Iterator
+from collections.abc import Iterable, Iterator
 from itertools import compress, repeat
 from math import isqrt
-from typing import NamedTuple, TypeVar
+from typing import NamedTuple
 
 from ._intmath import factorize, is_prime
 
@@ -37,8 +37,6 @@ _SCAN_LIMIT = 10**8
 _BLOCK = 1 << 16
 #: index of each prime's residue class mod 9 in the four GerthForm classes
 _CLASS_OF = {1: 0, 4: 1, 7: 1, 8: 2, 2: 3, 5: 3}
-
-_T = TypeVar("_T")
 
 
 class GerthForm(NamedTuple):
@@ -186,8 +184,8 @@ def _cube_free_count(limit: int) -> int:
     return total
 
 
-def _collector_paused(build: Callable[..., _T], *args: object) -> _T:
-    """build(*args), run with CPython's cyclic garbage collector off.
+def _collector_paused(items: Iterable[object]) -> list:
+    """list(items), built with CPython's cyclic garbage collector off.
 
     scan builds a GerthForm and a Verdict per radicand.  Both are
     tuple subclasses, which the collector never untracks, so each of its
@@ -196,16 +194,16 @@ def _collector_paused(build: Callable[..., _T], *args: object) -> _T:
     tuples, so they form no cycle (tests/test_classifier.py checks that a
     scan leaves none).  Reference counting still frees what the caller
     drops, and what it keeps gets one young-generation pass after the call.
-    The collector is turned back on at the end, also when build raises, but
+    The collector is turned back on at the end, also when items raises, but
     only if it was on at the start.  The switch is process-wide: cyclic
-    garbage that another thread makes meanwhile waits until build returns.
+    garbage that another thread makes meanwhile waits until the list is built.
     A contextlib context manager would allocate in its exit, after the
     collector is back on, and so run that young pass inside the call.
     """
     enabled = gc.isenabled()
     gc.disable()
     try:
-        return build(*args)
+        return list(items)
     finally:
         if enabled:
             gc.enable()

@@ -96,9 +96,19 @@ MUTANTS = (
     ),
     Mutant(
         "cyclic factors not counted before the order", "cubic93/fixtures.py",
-        "if (n := len(shape.orders)) > record[h].bit_length():",
-        "if (n := len(shape.orders)) > record[h].bit_length() + 10**6:",
-        (f"{_STRAINS}[c_k-of-100000]",),
+        "if (n := len(orders)) > record[h].bit_length():",
+        "if (n := len(orders)) > record[h].bit_length() + 10**6:",
+        (f"{_STRAINS}[c_k-of-100000]", f"{_STRAINS}[c_k-of-100-huge]"),
+    ),
+    Mutant(
+        "bits of a shape not bounded before it is built", "cubic93/fixtures.py",
+        "> 2 * (record[h].bit_length() + n):", "> 2 * (record[h].bit_length() + n) + 10**9:",
+        (f"{_STRAINS}[c_k-of-5-huge]",),
+    ),
+    Mutant(
+        "a rejected value printed in full", "cubic93/fixtures.py",
+        "got {reprlib.repr(value)}", "got {value!r}",
+        (f"{_STRAINS}[p-a-list-of-100000]",),
     ),
     # the residue characters
     Mutant(
@@ -112,6 +122,38 @@ MUTANTS = (
         'raise ArithmeticError(f"({alpha})^(({q}^2 - 1)/3) mod {q} is not a cube root of unity")',
         "return CubicCharacterValue.ONE",
         ("tests/test_eisenstein.py::test_inert_character_raises_off_the_cube_roots_of_unity",),
+    ),
+    # Eisenstein integers
+    Mutant(
+        "a unit is its own inverse", "cubic93/eisenstein.py",
+        "return self.conjugate() ** -exponent", "return self ** -exponent",
+        ("tests/test_eisenstein.py::test_negative_powers_exist_only_for_units",),
+    ),
+    Mutant(
+        "a foreign operand coerces to zero", "cubic93/eisenstein.py",
+        "            return cls(other, 0)\n        return None",
+        "            return cls(other, 0)\n        return cls(0, 0)",
+        ("tests/test_eisenstein.py::test_arithmetic_with_a_str_is_refused",),
+    ),
+    Mutant(
+        "int - z computed as z - int", "cubic93/eisenstein.py",
+        "return (-self) + other", "return self - other",
+        ("tests/test_eisenstein.py::test_int_coercion_in_arithmetic",),
+    ),
+    Mutant(
+        "b*w printed as 0+bw", "cubic93/eisenstein.py",
+        "        if self.a == 0:\n", "        if False:\n",
+        ("tests/test_eisenstein.py::test_str_of_a_pure_multiple_of_omega",),
+    ),
+    Mutant(
+        "the character value 0 given exponent 0", "cubic93/eisenstein.py",
+        'raise ValueError("0 is not a root of unity")', "return 0",
+        ("tests/test_eisenstein.py::test_character_value_group_law",),
+    ),
+    Mutant(
+        "a unit modulus not refused", "cubic93/eisenstein.py",
+        "    if field is None:\n", "    if field is None and not pi.is_unit:\n",
+        ("tests/test_eisenstein.py::test_character_rejects_bad_moduli",),
     ),
     # the elimination
     Mutant(

@@ -213,11 +213,20 @@ def test_table_fixture_without_rows_is_data_error(tmp_path: Path, capsys, text):
      "c_k has 100000 cyclic factors, too many for h_k3 = 27"),
     (json.dumps({"p": 199, "h_gamma3": 3**5000, "h_k3": 27, "u": 1, "c_gamma": [9], "c_k": [9, 3]}),
      "h_k3 = 27 violates h_k3 = (u/3)*h_gamma3^2 = a 15849-bit integer"),
-], ids=["nested-1100-deep", "c_k-of-100000", "h_gamma3-of-2386-digits"])
+    (json.dumps({"p": 199, "h_gamma3": 9, "h_k3": 27, "u": 1, "c_gamma": [9], "c_k": [3**8000] * 100}),
+     "c_k has 100 cyclic factors, too many for h_k3 = 27"),
+    (json.dumps({"p": 199, "h_gamma3": 9, "h_k3": 27, "u": 1, "c_gamma": [9], "c_k": [3**8000] * 5}),
+     "c_k orders hold 63400 bits, too many for h_k3 = 27"),
+    (json.dumps({"p": [3] * 100_000, "h_gamma3": 9, "h_k3": 27, "u": 1, "c_gamma": [9], "c_k": [9, 3]}),
+     "p must be an integer, got [3, 3, "),
+], ids=["nested-1100-deep", "c_k-of-100000", "h_gamma3-of-2386-digits", "c_k-of-100-huge",
+        "c_k-of-5-huge", "p-a-list-of-100000"])
 def test_table_fixture_that_strains_the_parser_is_one_error_line(tmp_path: Path, line, message):
     # the decoder raises RecursionError past the recursion limit, the order
     # of a long shape would not fit in the message, and neither would the
-    # h_k3 that a 2386-digit h_gamma3 implies (CPython prints at most 4300)
+    # h_k3 that a 2386-digit h_gamma3 implies (CPython prints at most 4300);
+    # a shape's size is checked before its 3^8000s are divided down by 3,
+    # and a rejected value is named by a cut repr
     path = tmp_path / "row.jsonl"
     path.write_text(line + "\n")
     start = time.perf_counter()
@@ -228,7 +237,9 @@ def test_table_fixture_that_strains_the_parser_is_one_error_line(tmp_path: Path,
     assert time.perf_counter() - start < 2
     assert (proc.returncode, proc.stdout) == (2, "")
     (err,) = proc.stderr.splitlines()
-    assert err.startswith(f"error: {path}, line 1: {message}"), err
+    prefix = f"error: {path}, line 1: "
+    assert err.startswith(prefix + message), err[:300]
+    assert len(err) - len(prefix) < 120, err[:300]
 
 
 def test_table_cas_answer_with_200000_cyclic_factors_is_one_error_line(tmp_path: Path):

@@ -14,6 +14,7 @@ integers.  `factor` divides exactly on integer pairs, and
 from __future__ import annotations
 
 import functools
+import operator
 import random
 from math import isqrt
 
@@ -145,8 +146,15 @@ def test_omega_satisfies_its_equation():
 
 def test_negative_powers_exist_only_for_units():
     assert OMEGA ** -1 == OMEGA_SQUARED
+    # u * conj(u) = N(u) = 1, so u^-k = conj(u)^k = conj(u^k)
+    for u in UNITS:
+        for k in range(1, 7):
+            assert u ** -k == (u ** k).conjugate()
+            assert u ** -k * u ** k == ONE
     with pytest.raises(ValueError, match="only for units"):
         LAMBDA ** -1
+    with pytest.raises(ValueError, match="only for units"):
+        EisensteinInt(2) ** -3
 
 
 def test_conjugate_of_omega():
@@ -174,6 +182,23 @@ def test_int_coercion_in_arithmetic():
     assert 2 * z == EisensteinInt(4, 2)
     assert z - 2 == EisensteinInt(0, 1)
     assert z == z + 0 and EisensteinInt(5) == 5
+    assert 3 - OMEGA == EisensteinInt(3, -1)
+
+
+def test_arithmetic_with_a_str_is_refused():
+    z = EisensteinInt(2, 1)
+    for op in (operator.add, operator.sub, operator.mul, divmod):
+        with pytest.raises(TypeError):
+            op(z, "1")
+        with pytest.raises(TypeError):
+            op("1", z)
+    assert (z == "2+1w") is False and z != "2+1w"
+
+
+def test_str_of_a_pure_multiple_of_omega():
+    assert str(EisensteinInt(0, 5)) == "5w"
+    assert str(EisensteinInt(0, -1)) == "-1w"
+    assert (str(EisensteinInt(3)), str(EisensteinInt(3, -1))) == ("3", "3-1w")
 
 
 @given(st.integers())
@@ -466,6 +491,9 @@ def test_character_rejects_bad_moduli():
         cubic_character(ONE, EisensteinInt(4))  # composite
     with pytest.raises(ValueError):
         cubic_character(ONE, EisensteinInt(7))  # 7 splits, not prime here
+    for u in UNITS:  # norm 1: no prime, and no residue field
+        with pytest.raises(ValueError, match=r"is not a prime of Z\[w\]"):
+            cubic_character(OMEGA, u)
 
 
 def test_split_character_raises_off_the_cube_roots_of_unity():
@@ -490,6 +518,8 @@ def test_character_value_group_law():
     )
     assert w * w is w2 and w * w2 is one and w2 * w2 is w
     assert CubicCharacterValue.ZERO * w is CubicCharacterValue.ZERO
+    with pytest.raises(ValueError, match="0 is not a root of unity"):
+        CubicCharacterValue.ZERO.exponent
 
 
 # ---------------------------------------------------------- rational symbol

@@ -4,6 +4,7 @@ size, and on the files that git tracks."""
 from __future__ import annotations
 
 import ast
+import doctest
 import os
 import re
 import shutil
@@ -83,6 +84,13 @@ def test_source_stays_below_2400_lines_and_62_public_names():
     )
     assert lines < 2400
     assert int(names.stdout) <= 62
+
+
+def test_the_readme_library_sketch_runs_as_shown():
+    # the README's >>> lines are a doctest, so a result that changes fails here
+    readme = Path(__file__).resolve().parents[1] / "README.md"
+    result = doctest.testfile(str(readme), module_relative=False, encoding="utf-8")
+    assert result.failed == 0 and result.attempted >= 10
 
 
 def test_the_cli_imports_no_dataclasses_inspect_or_importlib_resources():
