@@ -77,7 +77,7 @@ def is_prime(n: int) -> bool:
         return False
     if n >= _MR_LIMIT:
         raise ValueError(
-            f"cannot decide whether {n} is prime: it has no prime factor below"
+            f"cannot decide whether {_shown(n)} is prime: it has no prime factor below"
             f" {_TRIAL_BOUND}, and primality is proven only below 3.3e24"
         )
     return _proven_prime(n)
@@ -114,7 +114,9 @@ def _miller_rabin(n: int) -> bool:
     strong probable-prime test to as many of _MR_BASES as _MR_TIERS asks for."""
     s = ((n - 1) & (1 - n)).bit_length() - 1  # n - 1 = d * 2^s, d odd
     d = (n - 1) >> s
-    k = next(k for bound, k in _MR_TIERS if n < bound)
+    for bound, k in _MR_TIERS:
+        if n < bound:
+            break
     for a in _MR_BASES[:k]:
         x = pow(a, d, n)
         if x == 1 or x == n - 1:
@@ -154,9 +156,9 @@ def factorize(n: int) -> dict[int, int]:
                 if g == 1:
                     break
     if n >= _MR_LIMIT:
-        rest = "it has" if n == whole else f"its cofactor {n} has"
+        rest = "it has" if n == whole else f"its cofactor {_shown(n)} has"
         raise ValueError(
-            f"cannot factor {whole}: {rest} no prime factor below"
+            f"cannot factor {_shown(whole)}: {rest} no prime factor below"
             f" {_TRIAL_BOUND}, and primality is proven only below 3.3e24"
         )
     stack = [n] if n > 1 else []
@@ -210,8 +212,8 @@ def _brent_rho(n: int) -> int:
 
 
 def _shown(n: int) -> str:
-    """n in decimal, or its size when it is too long for CPython to print."""
-    return str(n) if n.bit_length() <= _PRINT_BITS else f"a {n.bit_length()}-bit integer"
+    """n in decimal up to 128 bits (39 digits), else its size: a message stays one short line."""
+    return str(n) if n.bit_length() <= 128 else f"a {n.bit_length()}-bit integer"
 
 
 def three_part(n: int) -> int:

@@ -29,7 +29,7 @@ from enum import Enum
 from typing import NamedTuple
 
 from ._intmath import _shown, is_prime, three_part
-from .eisenstein import CubicCharacterValue, rational_cubic_symbol
+from .eisenstein import CubicCharacterValue, _cubic_symbol
 from .radicand import GerthForm, _collector_paused, _cube_free_forms, gerth_decompose, normalize
 from .ramification import QStar, _ambiguous_rank
 
@@ -45,9 +45,9 @@ class ClassGroupShape(NamedTuple("ClassGroupShape", [("orders", tuple[int, ...])
     def __new__(cls, orders: tuple[int, ...]) -> "ClassGroupShape":
         for n in orders:
             if n < 2:
-                raise ValueError(f"cyclic order {n} is not a group order >= 2")
+                raise ValueError(f"cyclic order {_shown(n)} is not a group order >= 2")
             if three_part(n) != n:
-                raise ValueError(f"cyclic order {n} is not a power of 3")
+                raise ValueError(f"cyclic order {_shown(n)} is not a power of 3")
         if tuple(sorted(orders, reverse=True)) != orders:
             raise ValueError(f"orders {orders} must be non-increasing")
         return super().__new__(cls, orders)
@@ -77,9 +77,9 @@ _SCAN_LIST_LIMIT = 10**6
 def hk_from_hgamma(h_gamma: int, u: int) -> int:
     """h_k = (u/3) * h_gamma^2 for the sextic field; must come out integral."""
     if u not in (1, 3):
-        raise ValueError(f"unit index must be 1 or 3, got {u}")
+        raise ValueError(f"unit index must be 1 or 3, got {_shown(u)}")
     if h_gamma < 1:
-        raise ValueError(f"class number must be positive, got {h_gamma}")
+        raise ValueError(f"class number must be positive, got {_shown(h_gamma)}")
     num = u * h_gamma * h_gamma
     if num % 3 != 0:
         raise ValueError(f"(u/3)*h^2 = {_shown(num)}/3 is not an integer")
@@ -436,9 +436,9 @@ def _necessary_form(g: GerthForm) -> Verdict:
     if named:  # p is the one split prime; only SPLIT_INERT_RANK names q = 8 (mod 9)
         line = line.format(factors=factors, p=(c1 or c47)[0][0], q=c8[0][0] if c8 else None)
     elif code is ReasonCode.CUBIC_SYMBOL_CONJECTURE:
-        # the symbol only explains the outcome and names the predicted shape
+        # the symbol only explains the outcome and names the predicted shape; p is proven prime
         p = (c1 or c47)[0][0]
-        symbol = rational_cubic_symbol(3, p)
+        symbol = _cubic_symbol(3, p)
         one = symbol is CubicCharacterValue.ONE
         predicted = _ELEMENTARY_3_3 if one else _CYCLIC_3
         line = (

@@ -250,14 +250,18 @@ def primary_associate(z: EisensteinInt) -> EisensteinInt:
     a = 2 and b = 0 (mod 3).  Requires N(z) coprime to 3."""
     if z.norm() % 3 == 0:
         raise ValueError(f"{z} has norm divisible by 3; no primary associate")
-    # walk z, w*z, w^2*z on pairs: w*(a + b*w) = -b + (a - b)*w; the one
-    # with b = 0 (mod 3) has a = 1 or 2 (mod 3), and -1 turns 1 into 2
-    a, b = z.a, z.b
+    return EisensteinInt(*_primary_pair(z.a, z.b))
+
+
+def _primary_pair(a: int, b: int) -> tuple[int, int]:
+    """primary_associate on the pair (a, b) of a + b*w, N coprime to 3."""
+    # walk z, w*z, w^2*z: w*(a + b*w) = -b + (a - b)*w; the one with
+    # b = 0 (mod 3) has a = 1 or 2 (mod 3), and -1 turns 1 into 2
     for _ in range(3):
         if b % 3 == 0:
-            return EisensteinInt(a, b) if a % 3 == 2 else EisensteinInt(-a, -b)
+            return (a, b) if a % 3 == 2 else (-a, -b)
         a, b = -b, a - b
-    raise ArithmeticError(f"no primary associate found for {z}")
+    raise ArithmeticError(f"no primary associate found for {EisensteinInt(a, b)}")
 
 
 @lru_cache(maxsize=None)
@@ -276,41 +280,39 @@ def factor_rational_prime(p: int) -> PrimeSplitting:
         return PrimeSplitting(3, SplitKind.RAMIFIED, (LAMBDA,))
     if p % 3 == 2:
         return PrimeSplitting(p, SplitKind.INERT, (EisensteinInt(p),))
-    pi = _split_prime(p)
+    pi = EisensteinInt(*_split_pair(p))
     return PrimeSplitting(p, SplitKind.SPLIT, (pi, pi.conjugate()))
 
 
-def _split_prime(p: int) -> EisensteinInt:
-    """The canonical prime above a split p: primary with positive b."""
+def _split_pair(p: int) -> tuple[int, int]:
+    """(a, b) of the canonical prime a + b*w above a split prime p: primary,
+    with b > 0.  p is taken to be prime."""
     # A square root of -3 mod p comes from a primitive cube root of unity z:
     # (2z + 1)^2 = -3 (mod p).  Cornacchia's algorithm (Cohen, GTM 138,
     # Alg. 1.5.2) turns it into p = x^2 + 3y^2: Euclid on (p, 2z + 1) stops
     # at the first remainder x with x^2 <= p.  Then (x + y) + 2y*w has norm p.
     c = 2
-    while True:
-        z = pow(c, (p - 1) // 3, p)
-        if z != 1:
-            break
+    while (z := pow(c, (p - 1) // 3, p)) == 1:
         c += 1
     r, x = p, (2 * z + 1) % p
     while x * x > p:
         r, x = x, r % x
     y = isqrt((p - x * x) // 3)
-    pi = primary_associate(EisensteinInt(x + y, 2 * y))
-    if pi.b < 0:
-        pi = pi.conjugate()
-    if pi.norm() != p:
-        raise ArithmeticError(f"the prime {pi} found above {p} has norm {pi.norm()}")
-    return pi
+    a, b = _primary_pair(x + y, 2 * y)
+    if b < 0:  # the conjugate (a - b) - b*w
+        a, b = a - b, -b
+    if (n := a * a - a * b + b * b) != p:
+        raise ArithmeticError(f"the prime {EisensteinInt(a, b)} found above {p} has norm {n}")
+    return a, b
 
 
-def _omega_residue(pi: EisensteinInt, p: int) -> int:
+def _omega_residue(s: int, t: int, p: int) -> int:
     """The image m of w in Z[w]/(pi) = F_p, for pi = s + t*w of prime norm p.
 
     p cannot divide t (it would then divide s and p^2 the norm), and
     s + t*m = 0 forces m = -s/t mod p.
     """
-    return -pi.a * pow(pi.b, -1, p) % p
+    return -s * pow(t, -1, p) % p
 
 
 def _residue_field(pi: EisensteinInt) -> tuple[int, int | None] | None:
@@ -325,7 +327,7 @@ def _residue_field(pi: EisensteinInt) -> tuple[int, int | None] | None:
     if n < 2:
         return None
     if _is_rational_prime(n):
-        return n, _omega_residue(pi, n)
+        return n, _omega_residue(pi.a, pi.b, n)
     q = isqrt(n)
     if (
         q * q == n
@@ -407,8 +409,12 @@ def rational_cubic_symbol(a: int, p: int) -> CubicCharacterValue:
         raise ValueError(f"need a rational prime p = 1 (mod 3), got {p}")
     if a % p == 0:
         raise ValueError(f"{p} divides {a}; the symbol is 0 there")
-    pi = factor_rational_prime(p).factors[0]
-    return _split_character(a, p, _omega_residue(pi, p))
+    return _cubic_symbol(a, p)
+
+
+def _cubic_symbol(a: int, p: int) -> CubicCharacterValue:
+    """rational_cubic_symbol(a, p) for a p = 1 (mod 3) already proven prime, not dividing a."""
+    return _split_character(a, p, _omega_residue(*_split_pair(p), p))
 
 
 class EisensteinFactorization(NamedTuple):

@@ -88,19 +88,19 @@ def _parse_row(line: str) -> FixtureRow:
     # on plain ints, before ClassGroupShape divides them; twice the log2(h) + n bits of a valid shape
     for key, orders, h in (("c_gamma", gamma_orders, "h_gamma3"), ("c_k", k_orders, "h_k3")):
         if (n := len(orders)) > record[h].bit_length():  # order >= 3^n > 2^n > h
-            raise ValueError(f"{key} has {n} cyclic factors, too many for {h} = {record[h]}")
+            raise ValueError(f"{key} has {n} cyclic factors, too many for {h} = {_shown(record[h])}")
         if (bits := sum(x.bit_length() for x in orders)) > 2 * (record[h].bit_length() + n):
-            raise ValueError(f"{key} orders hold {bits} bits, too many for {h} = {record[h]}")
+            raise ValueError(f"{key} orders hold {bits} bits, too many for {h} = {_shown(record[h])}")
     c_gamma, c_k = ClassGroupShape(gamma_orders), ClassGroupShape(k_orders)
     # is_prime raises ValueError for p above the range where primality is proven
     if not is_prime(p):
-        raise ValueError(f"p = {p} is not prime")
+        raise ValueError(f"p = {_shown(p)} is not prime")
     expected_hk = hk_from_hgamma(h_gamma3, u)
     if h_k3 != expected_hk:
-        raise ValueError(f"h_k3 = {h_k3} violates h_k3 = (u/3)*h_gamma3^2 = {_shown(expected_hk)}")
+        raise ValueError(f"h_k3 = {_shown(h_k3)} violates h_k3 = (u/3)*h_gamma3^2 = {_shown(expected_hk)}")
     for key, shape, h in (("c_gamma", c_gamma, "h_gamma3"), ("c_k", c_k, "h_k3")):
         if (order := shape.order) != record[h]:
-            raise ValueError(f"{key} = {shape} has order {_shown(order)}, not {h} = {record[h]}")
+            raise ValueError(f"{key} = {shape} has order {_shown(order)}, not {h} = {_shown(record[h])}")
     return FixtureRow(p, h_gamma3, h_k3, u, c_gamma, c_k)
 
 

@@ -123,6 +123,29 @@ MUTANTS = (
         "return CubicCharacterValue.ONE",
         ("tests/test_eisenstein.py::test_inert_character_raises_off_the_cube_roots_of_unity",),
     ),
+    # the prime above a split p, and the symbol taken at it
+    Mutant(
+        "the prime above p not conjugated to b > 0", "cubic93/eisenstein.py",
+        "    if b < 0:  # the conjugate (a - b) - b*w\n        a, b = a - b, -b\n", "",
+        (
+            "tests/test_eisenstein.py::test_split_seven",
+            "tests/test_eisenstein.py::test_split_agrees_with_norm_search_oracle",
+        ),
+    ),
+    Mutant(
+        "the pair walk returns the associate without negation", "cubic93/eisenstein.py",
+        "return (a, b) if a % 3 == 2 else (-a, -b)", "return (a, b)",
+        ("tests/test_eisenstein.py::test_primary_associate_frozen_examples",),
+    ),
+    Mutant(
+        "the symbol takes the image p - 1 - m of w^2 for m", "cubic93/eisenstein.py",
+        "return _split_character(a, p, _omega_residue(*_split_pair(p), p))",
+        "return _split_character(a, p, p - 1 - _omega_residue(*_split_pair(p), p))",
+        (
+            "tests/test_eisenstein.py::test_symbol_of_three_follows_the_supplementary_laws",
+            "tests/test_eisenstein.py::test_symbol_agrees_with_character_at_prime_above_p",
+        ),
+    ),
     # Eisenstein integers
     Mutant(
         "a unit is its own inverse", "cubic93/eisenstein.py",

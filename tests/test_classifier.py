@@ -253,7 +253,7 @@ def test_decision_is_a_function_of_the_mod9_counts(monkeypatch):
         raise AssertionError(f"_decision evaluated a cubic residue symbol at p = {p}")
 
     verdicts = scan(20_000)
-    monkeypatch.setattr(cubic93.classifier, "rational_cubic_symbol", no_symbol)
+    monkeypatch.setattr(cubic93.classifier, "_cubic_symbol", no_symbol)
     by_signature: dict[tuple, set] = {}
     for v in verdicts:
         g = v.decomposition
@@ -736,6 +736,20 @@ def test_scan_factors_each_radicand_once(factorize_calls):
     # the block sieve hands scan every form, so no radicand is factored at all
     scan(3000)
     assert factorize_calls == []
+
+
+def test_classify_proves_its_symbol_prime_once(monkeypatch):
+    # 1048633 is the least prime above 2^20 that is 4 or 7 (mod 9): factorize
+    # proves it by Miller-Rabin, and (3/p)_3 takes that proof instead of
+    # repeating it, also with factor_rational_prime's cache empty
+    calls: list[int] = []
+    real = cubic93._intmath._miller_rabin
+    monkeypatch.setattr(cubic93._intmath, "_miller_rabin", lambda n: calls.append(n) or real(n))
+    factor_rational_prime.cache_clear()
+    v = classify(1048633)
+    assert v.reasons[0].code is ReasonCode.CUBIC_SYMBOL_CONJECTURE
+    assert v.symbol_three is rational_cubic_symbol(3, 1048633)
+    assert calls == [1048633, 1048633]  # one for classify, one for the public symbol
 
 
 def test_rank_from_counts_matches_the_ramify_report():

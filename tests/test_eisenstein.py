@@ -22,7 +22,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from cubic93 import eisenstein
+from cubic93 import _intmath, eisenstein
 from cubic93._intmath import _MR_LIMIT, factorize, is_prime
 from cubic93.eisenstein import (
     LAMBDA,
@@ -344,7 +344,7 @@ def test_split_prime_raises_when_the_norm_is_wrong(monkeypatch):
     # an ArithmeticError, not an assert, so the check also runs under -O
     monkeypatch.setattr(eisenstein, "isqrt", lambda n: isqrt(n) + 1)
     with pytest.raises(ArithmeticError, match=r"above 7 has norm"):
-        eisenstein._split_prime(7)
+        eisenstein._split_pair(7)
 
 
 def test_split_pins_a_prime_above_1e12():
@@ -560,6 +560,31 @@ def test_symbol_rejects_bad_inputs():
         rational_cubic_symbol(3, 9)  # not prime
     with pytest.raises(ValueError):
         rational_cubic_symbol(14, 7)  # p | a
+
+
+def test_symbol_proves_p_prime_once(monkeypatch):
+    # the public symbol proves p itself and then takes that proof to the
+    # prime above p, so an empty factor_rational_prime cache adds no second one
+    calls: list[int] = []
+    real_mr, real_is_prime = _intmath._miller_rabin, eisenstein._is_rational_prime
+    monkeypatch.setattr(_intmath, "_miller_rabin", lambda n: calls.append(n) or real_mr(n))
+    factor_rational_prime.cache_clear()
+    assert rational_cubic_symbol(3, 1048633) is CubicCharacterValue.OMEGA_SQUARED
+    assert calls == [1048633]
+    del calls[:]
+    monkeypatch.setattr(eisenstein, "_is_rational_prime", lambda n: calls.append(n) or real_is_prime(n))
+    factor_rational_prime.cache_clear()
+    assert rational_cubic_symbol(3, 1009) is CubicCharacterValue.ONE
+    assert calls == [1009]
+
+
+@pytest.mark.parametrize("p", [1009 * 1021, 1021 * 1033])  # below and above 2^20
+def test_a_composite_p_is_still_refused(p):
+    assert p % 3 == 1
+    with pytest.raises(ValueError, match="need a rational prime"):
+        rational_cubic_symbol(3, p)
+    with pytest.raises(ValueError, match="is not a rational prime"):
+        factor_rational_prime(p)
 
 
 def test_symbol_matches_brute_force_small():

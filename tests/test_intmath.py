@@ -213,6 +213,12 @@ def test_above_the_miller_rabin_range_fails_fast():
     prime = 10**30 + 57
     with pytest.raises(ValueError, match=r"3\.3e24"):
         is_prime(prime)
+    # a number of more than 39 digits is named by its size, in a short line
+    with pytest.raises(ValueError, match=r"^cannot decide whether a 9966-bit integer is prime") as refused:
+        is_prime(prime**100)
+    assert len(str(refused.value)) < 130
+    with pytest.raises(ValueError, match=r"^cannot factor a 9967-bit integer: its cofactor a 9966-bit"):
+        factorize(2 * prime**100)
     for n in (prime, 2 * prime, 7**3 * prime, MR_LIMIT):
         with pytest.raises(ValueError, match=r"3\.3e24"):
             factorize(n)

@@ -5,6 +5,7 @@ from __future__ import annotations
 
 import ast
 import doctest
+import json
 import os
 import re
 import shutil
@@ -84,6 +85,34 @@ def test_source_stays_below_2400_lines_and_62_public_names():
     )
     assert lines < 2400
     assert int(names.stdout) <= 62
+
+
+def test_perfbench_clears_every_cache_that_import_cubic93_can_reach():
+    # perfbench's measure.py collects the cache_clear callables once, right
+    # after `import cubic93`, and empties them before every timed pass; a
+    # cache in a submodule that the package imports only later would stay
+    # warm from the second pass on, so the two sets must be the same
+    perfbench = Path(__file__).resolve().parents[1] / "perfbench"
+    script = (
+        "import importlib, json, pkgutil, sys\n"
+        f"sys.path.insert(0, {str(perfbench)!r})\n"
+        "import cubic93\n"
+        "from measure import library_caches\n"
+        "def names():\n"
+        "    return sorted(f'{f.__module__}.{f.__qualname__}' for f in library_caches())\n"
+        "first = names()\n"
+        "for m in pkgutil.iter_modules(cubic93.__path__):\n"
+        "    importlib.import_module(f'cubic93.{m.name}')\n"
+        "print(json.dumps([first, names()]))\n"
+    )
+    caches = subprocess.run(
+        [sys.executable, "-S", "-c", script],
+        env={**os.environ, "PYTHONPATH": str(PACKAGE.parent)},
+        capture_output=True, encoding="utf-8", timeout=120, check=True,
+    )
+    first, every = json.loads(caches.stdout)
+    assert first == every
+    assert {"cubic93.eisenstein.factor_rational_prime", "cubic93.genus.period_polynomial"} <= set(first)
 
 
 def test_the_readme_library_sketch_runs_as_shown():
