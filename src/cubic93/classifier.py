@@ -23,14 +23,16 @@ residue symbol (3/p)_3, while every other branch is theorem-backed.
 from __future__ import annotations
 
 import functools
+import gc
 import math
+import reprlib
 from collections.abc import Iterator
 from enum import Enum
 from typing import NamedTuple
 
 from ._intmath import _shown, is_prime, three_part
 from .eisenstein import CubicCharacterValue, _cubic_symbol
-from .radicand import GerthForm, _collector_paused, _cube_free_forms, gerth_decompose, normalize
+from .radicand import GerthForm, _cube_free_forms, gerth_decompose, normalize
 from .ramification import QStar, _ambiguous_rank
 
 
@@ -49,7 +51,7 @@ class ClassGroupShape(NamedTuple("ClassGroupShape", [("orders", tuple[int, ...])
             if three_part(n) != n:
                 raise ValueError(f"cyclic order {_shown(n)} is not a power of 3")
         if tuple(sorted(orders, reverse=True)) != orders:
-            raise ValueError(f"orders {orders} must be non-increasing")
+            raise ValueError(f"orders {reprlib.repr(orders)} must be non-increasing")
         return super().__new__(cls, orders)
 
     @classmethod
@@ -551,4 +553,22 @@ def scan(max_d: int) -> list[Verdict]:
             f"scan bound must be <= {_SCAN_LIST_LIMIT}, got {max_d}: scan returns one"
             " verdict per radicand; `cubic93 scan --max` streams bounds up to 10^8"
         )
-    return _collector_paused(map(_necessary_form, _cube_free_forms(max_d)))
+    # The collector is off while the list is built.  A GerthForm and a Verdict
+    # per radicand are tuple subclasses, which the collector never untracks,
+    # so each of its older-generation passes during a scan would walk every
+    # record kept so far again, and find nothing: the records hold only ints,
+    # strings, enums and tuples, so they form no cycle (tests/test_classifier.py
+    # checks that a scan leaves none).  Reference counting still frees what the
+    # build drops, and the list returned gets one young-generation pass after
+    # the call.  The collector is turned back on also when the scan raises, but
+    # only if it was on at the start.  The switch is process-wide: cyclic
+    # garbage that another thread makes meanwhile waits until the list is
+    # built.  A contextlib context manager would allocate in its exit, after
+    # the collector is back on, and so run that young pass inside the call.
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        return list(map(_necessary_form, _cube_free_forms(max_d)))
+    finally:
+        if enabled:
+            gc.enable()

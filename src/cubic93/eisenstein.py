@@ -274,9 +274,6 @@ def factor_rational_prime(p: int) -> PrimeSplitting:
     if not _is_rational_prime(p):
         raise ValueError(f"{p} is not a rational prime")
     if p == 3:
-        # sanity of the stored identity 3 = -w^2 * lam^2
-        if -OMEGA_SQUARED * LAMBDA * LAMBDA != EisensteinInt(3):
-            raise ArithmeticError("the identity 3 = -w^2 * lam^2 fails")
         return PrimeSplitting(3, SplitKind.RAMIFIED, (LAMBDA,))
     if p % 3 == 2:
         return PrimeSplitting(p, SplitKind.INERT, (EisensteinInt(p),))
@@ -451,8 +448,8 @@ def factor(z: EisensteinInt) -> EisensteinFactorization:
         for prime in splitting.factors:
             # N(prime) and, unless inert, w's image m in F_p: from this prime, never its conjugate
             c, d = prime.a, prime.b
-            n = c * c - c * d + d * d
-            m = 0 if inert else -c * pow(d, -1, p) % p
+            n = prime.norm()
+            m = 0 if inert else _omega_residue(c, d, p)
             e = 0
             while not (a % p or b % p) if inert else (a + b * m) % p == 0:
                 # (a + b*w) * ((c - d) - d*w), then divide both parts by n

@@ -100,7 +100,8 @@ def _parse_row(line: str) -> FixtureRow:
         raise ValueError(f"h_k3 = {_shown(h_k3)} violates h_k3 = (u/3)*h_gamma3^2 = {_shown(expected_hk)}")
     for key, shape, h in (("c_gamma", c_gamma, "h_gamma3"), ("c_k", c_k, "h_k3")):
         if (order := shape.order) != record[h]:
-            raise ValueError(f"{key} = {shape} has order {_shown(order)}, not {h} = {_shown(record[h])}")
+            named = f"= {text}" if len(text := str(shape)) <= 100 else f"of orders {reprlib.repr(shape.orders)}"
+            raise ValueError(f"{key} {named} has order {_shown(order)}, not {h} = {_shown(record[h])}")
     return FixtureRow(p, h_gamma3, h_k3, u, c_gamma, c_k)
 
 

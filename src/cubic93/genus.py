@@ -48,8 +48,9 @@ def period_polynomial(p: int) -> Cubic:
     cubic subfield M(p) of Q(zeta_p).  Coefficients are returned monic and
     descending: (1, c2, c1, c0).
     """
-    if not is_prime(p) or p % 3 != 1:
+    if p % 3 != 1:
         raise ValueError(f"need a prime p = 1 (mod 3), got {p}")
+    # factor_rational_prime proves p prime, or raises ValueError;
     # pi = a + b*w is primary (a = 2, b = 0 mod 3) of norm p, and
     # 4p = (2a - b)^2 + 3b^2, so L = 2a - b and M = b/3 (Ireland & Rosen, ch. 9)
     pi = factor_rational_prime(p).factors[0]

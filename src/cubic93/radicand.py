@@ -22,8 +22,7 @@ a whole range at once, from a block sieve, and factors nothing.
 
 from __future__ import annotations
 
-import gc
-from collections.abc import Iterable, Iterator
+from collections.abc import Iterator
 from itertools import compress, repeat
 from math import isqrt
 from typing import NamedTuple
@@ -182,31 +181,6 @@ def _cube_free_count(limit: int) -> int:
             total += (-1) ** len(fac) * (limit // k**3)
         k += 1
     return total
-
-
-def _collector_paused(items: Iterable[object]) -> list:
-    """list(items), built with CPython's cyclic garbage collector off.
-
-    scan builds a GerthForm and a Verdict per radicand.  Both are
-    tuple subclasses, which the collector never untracks, so each of its
-    older-generation passes during a scan walks every record kept so far
-    again, and finds nothing: the records hold only ints, strings, enums and
-    tuples, so they form no cycle (tests/test_classifier.py checks that a
-    scan leaves none).  Reference counting still frees what the caller
-    drops, and what it keeps gets one young-generation pass after the call.
-    The collector is turned back on at the end, also when items raises, but
-    only if it was on at the start.  The switch is process-wide: cyclic
-    garbage that another thread makes meanwhile waits until the list is built.
-    A contextlib context manager would allocate in its exit, after the
-    collector is back on, and so run that young pass inside the call.
-    """
-    enabled = gc.isenabled()
-    gc.disable()
-    try:
-        return list(items)
-    finally:
-        if enabled:
-            gc.enable()
 
 
 def _block_forms(lo: int, hi: int, primes: list[int]) -> Iterator[GerthForm]:

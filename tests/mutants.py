@@ -110,7 +110,26 @@ MUTANTS = (
         "got {reprlib.repr(value)}", "got {value!r}",
         (f"{_STRAINS}[p-a-list-of-100000]",),
     ),
+    Mutant(
+        "a long shape printed in full", "cubic93/fixtures.py",
+        "if len(text := str(shape)) <= 100 else", "if len(text := str(shape)) <= 10**9 else",
+        (f"{_STRAINS}[c_k-of-12000-for-3818-digits]",),
+    ),
+    Mutant(
+        "long increasing orders printed in full", "cubic93/classifier.py",
+        "orders {reprlib.repr(orders)} must", "orders {orders} must",
+        (f"{_STRAINS}[c_gamma-of-6000-increasing]",),
+    ),
     # the residue characters
+    Mutant(
+        "the image of w taken without its sign", "cubic93/eisenstein.py",
+        "return -s * pow(t, -1, p) % p", "return s * pow(t, -1, p) % p",
+        (
+            "tests/test_eisenstein.py::test_factor_matches_the_divmod_oracle",
+            "tests/test_eisenstein.py::test_factor_matches_divides_oracle_on_prime_powers",
+            "tests/test_eisenstein.py::test_character_matches_zw_power_oracle_at_every_residue",
+        ),
+    ),
     Mutant(
         "split character returns instead of raising", "cubic93/eisenstein.py",
         'raise ArithmeticError(f"{x}^(({p} - 1)/3) mod {p} is not a cube root of unity")',
@@ -224,7 +243,17 @@ MUTANTS = (
         "t = three + 2 * w + J", "t = three + 2 * w + J + (J == 6)",
         (_DOMAIN,),
     ),
-    # the exact period check of genus
+    # the exact period check of genus, and the primes it is defined for
+    Mutant(
+        "period polynomial refuses only p = 2 (mod 3)", "cubic93/genus.py",
+        "    if p % 3 != 1:\n", "    if p % 3 == 2:\n",
+        ("tests/test_genus.py::test_period_polynomial_rejects_wrong_primes",),
+    ),
+    Mutant(
+        "period polynomial proves p prime itself again", "cubic93/genus.py",
+        "    if p % 3 != 1:\n", "    if not is_prime(p) or p % 3 != 1:\n",
+        ("tests/test_genus.py::test_period_polynomial_proves_p_prime_once",),
+    ),
     Mutant(
         "period check: a wrong coset label", "cubic93/genus.py",
         "coset[t] = 2", "coset[t] = 1",
@@ -253,7 +282,7 @@ MUTANTS = (
     ),
     # the collector pause that scan shares with every other thread
     Mutant(
-        "collector not turned back on after a scan", "cubic93/radicand.py",
+        "collector not turned back on after a scan", "cubic93/classifier.py",
         "        if enabled:\n            gc.enable()", "        if enabled:\n            pass",
         ("tests/test_classifier.py::test_scan_and_classify_in_two_threads_give_the_verdicts_of_one",),
     ),

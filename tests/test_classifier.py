@@ -563,7 +563,7 @@ def test_scan_bound_itself_passes(monkeypatch):
 
 @pytest.mark.parametrize("enabled", [True, False])
 def test_scan_leaves_the_collector_as_it_found_it(enabled):
-    # the scan pauses the cyclic collector (radicand._collector_paused)
+    # the scan pauses the cyclic collector (classifier.scan)
     try:
         if not enabled:
             gc.disable()

@@ -226,16 +226,22 @@ def test_table_fixture_without_rows_is_data_error(tmp_path: Path, capsys, text):
      "c_gamma has 20000 cyclic factors, too many for h_gamma3 = a 12680-bit integer"),
     (json.dumps({"p": 10**3000 + 1, "h_gamma3": 9, "h_k3": 27, "u": 1, "c_gamma": [9], "c_k": [9, 3]}),
      "p = a 9966-bit integer is not prime"),
+    (json.dumps({"p": 199, "h_gamma3": 3**8000, "h_k3": 27, "u": 1, "c_gamma": [3, 9] * 3000, "c_k": [9, 3]}),
+     "orders (3, 9, 3, 9, 3, 9, ...) must be non-increasing"),
+    (json.dumps({"p": 199, "h_gamma3": 3**4000, "h_k3": 3**8000, "u": 3, "c_gamma": [3] * 4000,
+                 "c_k": [3] * 12_000}),
+     "c_k of orders (3, 3, 3, 3, 3, 3, ...) has order a 19020-bit integer, not h_k3 = a 12680-bit integer"),
 ], ids=["nested-1100-deep", "c_k-of-100000", "h_gamma3-of-2386-digits", "c_k-of-100-huge",
         "c_k-of-5-huge", "p-a-list-of-100000", "c_gamma-of-20000-for-3818-digits",
-        "both-class-numbers-of-3818-digits", "p-of-3001-digits"])
+        "both-class-numbers-of-3818-digits", "p-of-3001-digits", "c_gamma-of-6000-increasing",
+        "c_k-of-12000-for-3818-digits"])
 def test_table_fixture_that_strains_the_parser_is_one_error_line(tmp_path: Path, line, message):
     # the decoder raises RecursionError past the recursion limit, the order
     # of a long shape would not fit in the message, and neither would the
     # h_k3 that a 2386-digit h_gamma3 implies (CPython prints at most 4300);
     # a shape's size is checked before its 3^8000s are divided down by 3,
     # a rejected value is named by a cut repr, and a row integer of more
-    # than 39 digits by its size
+    # than 39 digits by its size, and a long shape by its cut orders
     path = tmp_path / "row.jsonl"
     path.write_text(line + "\n")
     start = time.perf_counter()
@@ -248,6 +254,7 @@ def test_table_fixture_that_strains_the_parser_is_one_error_line(tmp_path: Path,
     (err,) = proc.stderr.splitlines()
     prefix = f"error: {path}, line 1: "
     assert err.startswith(prefix + message), err[:300]
+    assert len(err) < len(prefix) + 200, err[:300]
     assert len(err) - len(prefix) < 120, err[:300]
 
 

@@ -33,7 +33,6 @@ from cubic93.eisenstein import (
     ZERO,
     CubicCharacterValue,
     EisensteinInt,
-    EisensteinFactorization,
     PrimeSplitting,
     SplitKind,
     cubic_character,
@@ -100,22 +99,6 @@ def oracle_cubic_character(alpha: EisensteinInt, pi: EisensteinInt) -> CubicChar
         if pi.divides(r - element):
             return value
     raise AssertionError(f"chi_{pi}({alpha}) did not land on a cube root of unity")
-
-
-def oracle_factor(z: EisensteinInt) -> EisensteinFactorization:
-    """Divide out each prime above each p | N(z) with divides and //."""
-    remaining = z
-    out = []
-    for p in sorted(factorize(z.norm())):
-        for prime in factor_rational_prime(p).factors:
-            e = 0
-            while prime.divides(remaining):
-                remaining = remaining // prime
-                e += 1
-            if e:
-                out.append((prime, e))
-    assert remaining.is_unit
-    return EisensteinFactorization(unit=remaining, factors=tuple(out))
 
 
 def oracle_split_primes(lo: int, hi: int) -> list[EisensteinInt]:
@@ -695,7 +678,7 @@ def test_factor_matches_divides_oracle(a, b):
     z = EisensteinInt(a, b)
     if z.is_zero:
         return
-    assert factor(z) == oracle_factor(z)
+    assert factor(z) == factor_by_divmod(z)
 
 
 def test_factor_matches_divides_oracle_on_prime_powers():
@@ -703,7 +686,7 @@ def test_factor_matches_divides_oracle_on_prime_powers():
         for k in range(1, 6):
             for unit in UNITS:
                 z = unit * base**k * EisensteinInt(5, 1)
-                assert factor(z) == oracle_factor(z)
+                assert factor(z) == factor_by_divmod(z)
 
 
 def test_factor_rejects_a_wrong_splitting(monkeypatch):

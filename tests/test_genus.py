@@ -15,6 +15,7 @@ from math import isqrt
 
 import pytest
 
+import cubic93._intmath
 import cubic93.genus
 from cubic93.eisenstein import OMEGA, PrimeSplitting, SplitKind, factor_rational_prime
 from cubic93.genus import (
@@ -103,6 +104,18 @@ def test_period_polynomial_rejects_wrong_primes():
         period_polynomial(21)
     with pytest.raises(ValueError):
         period_polynomial(3)
+    with pytest.raises(ValueError, match="91 is not a rational prime"):
+        period_polynomial(91)  # 7 * 13 = 1 (mod 3)
+
+
+def test_period_polynomial_proves_p_prime_once(monkeypatch):
+    # factor_rational_prime's proof of p is the only one, also on its cache miss
+    calls: list[int] = []
+    real = cubic93._intmath._proven_prime
+    monkeypatch.setattr(cubic93._intmath, "_proven_prime", lambda n: calls.append(n) or real(n))
+    factor_rational_prime.cache_clear()
+    assert period_polynomial.__wrapped__(1009)[0] == 1
+    assert calls.count(1009) == 1
 
 
 def test_period_polynomial_against_numeric_oracle():

@@ -43,14 +43,14 @@ def test_no_assert_in_the_library_or_the_oracles():
 
 def test_only_one_helper_switches_the_cyclic_collector():
     # the collector's state is process-wide, so one function owns the switch:
-    # radicand._collector_paused, which restores what it found
+    # classifier.scan, which restores what it found
     switches = {"disable", "enable", "freeze", "collect"}
     inside, outside = [], []
     for path in sorted(PACKAGE.glob("*.py")):
         tree = ast.parse(path.read_text(encoding="utf-8"))
         helper = [
             node for node in ast.walk(tree)
-            if isinstance(node, ast.FunctionDef) and node.name == "_collector_paused"
+            if isinstance(node, ast.FunctionDef) and node.name == "scan" and path.name == "classifier.py"
         ]
         in_helper = {id(node) for fn in helper for node in ast.walk(fn)}
         for node in ast.walk(tree):
@@ -70,7 +70,7 @@ def test_only_one_helper_switches_the_cyclic_collector():
                 outside.append(f"{path.name}:{node.lineno}: imports gc by another name")
     assert outside == []
     assert [entry.split(": ")[1] for entry in inside] == ["gc.disable", "gc.enable"]
-    assert {entry.split(":")[0] for entry in inside} == {"radicand.py"}
+    assert {entry.split(":")[0] for entry in inside} == {"classifier.py"}
 
 
 def test_source_stays_below_2400_lines_and_62_public_names():
