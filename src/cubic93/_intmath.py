@@ -8,8 +8,9 @@ the same bytes, which is harmless.  Deterministic Miller-Rabin decides
 n < 3.3e24: the first k prime bases make the strong-probable-prime test
 exact below the least strong pseudoprime to all of them (Jaeschke;
 Sorenson and Webster).  Factorization trial-divides by the primes below
-300 only, then proves each piece of the cofactor prime by the table or
-Miller-Rabin, or splits it by Pollard rho with Brent's cycle search.  At
+300, then proves each piece of the cofactor prime or splits it: below 1e8
+by a gcd descent over a product tree of the primes below 1e4 (Bernstein
+2004; built on first use, like the table), above by Pollard-Brent rho.  At
 or above 3.3e24 nothing but a prime factor below 300 can be found, so
 there is_prime and factorize raise ValueError naming that bound.  Every
 n < 3.3e24 is factored exactly; two primes near 1.8e12 take seconds.  The
@@ -37,12 +38,9 @@ _MR_TIERS = (
 )
 #: is_prime is proven below this bound and nowhere above it
 _MR_LIMIT = _MR_TIERS[-1][0]
-#: factorize trial-divides by the primes below this bound only, which
-#: factors every n below 300^2 = 90 000 without Miller-Rabin or rho.  On
-#: classify, between 180 and 1000 a larger bound made factorize faster for
-#: d up to 1e8 and slower for d <= 30 000, by at most about 2 us per call
-#: either way (CPython 3.11, 2-vCPU Xeon); 300 splits the difference.  scan
-#: factors nothing (a block sieve gives its forms), so it does not enter here
+#: factorize trial-divides by the primes below this bound only, so a piece
+#: of the cofactor below 300^2 is prime, and a composite one below 1e8 has
+#: a prime factor in _PRIME_TREE
 _TRIAL_BOUND = 300
 _SMALL_PRIMES = tuple(
     p for p in range(2, _TRIAL_BOUND) if all(p % f for f in range(2, isqrt(p) + 1))
@@ -52,23 +50,22 @@ _PRIMORIAL = prod(_SMALL_PRIMES)
 #: odd 1 < n < 2^20 is prime iff _PRIME_BITS[n >> 4] has bit (n >> 1) & 7 set
 _TABLE_LIMIT = 1 << 20
 _PRIME_BITS = b""
+#: level k of _PRIME_TREE: products of 2^k consecutive primes between 300 and this bound (then 1s)
+_TREE_BOUND = 10_000
+_PRIME_TREE: list[list[int]] = []
 #: Pollard-Brent rho steps per gcd
 _RHO_BLOCK = 128
-#: values of c that _brent_rho tries: a composite needed at most 3 (16 367 calls
-#: in tier-1) and 2 (6 000 semiprimes near 1e12), so only a prime runs out
+#: values of c that _brent_rho tries: a composite needed at most 2 (60 calls
+#: in tier-1, 6 000 semiprimes near 1e12), so only a prime runs out
 _RHO_TRIES = 20
 #: CPython prints no int past 4300 digits, about 14 280 bits
 _PRINT_BITS = 14_000
 
 
 def is_prime(n: int) -> bool:
-    """Deterministic primality in three tiers: the primes below 300 decide
-    n < 300^2, a 64 KiB bit table of the odd primes decides n < 2^20, and
-    Miller-Rabin with enough prime bases for an exact answer decides n up
-    to 3.3e24.  The first call that needs the table sieves it (2.6 ms, CPython 3.11);
-    two threads that do so at once build the same bytes, which is harmless.
-
-    At or above 3.3e24 only a prime factor below 300 decides (composite);
+    """Deterministic primality in the three tiers of the module docstring:
+    the primes below 300, the bit table, and Miller-Rabin up to 3.3e24.  At
+    or above 3.3e24 only a prime factor below 300 decides (composite);
     without one this raises ValueError instead of searching on.
     """
     if n < _TRIAL_BOUND:
@@ -109,6 +106,17 @@ def _sieve_prime_bits() -> bytes:
     return _PRIME_BITS
 
 
+def _prime_tree() -> list[list[int]]:
+    """Build _PRIME_TREE in a local and publish it in one assignment."""
+    global _PRIME_TREE
+    tree = [[p for p in range(_TRIAL_BOUND + 1, _TREE_BOUND, 2) if gcd(p, _PRIMORIAL) == 1]]
+    tree[0] += [1] * (2**11 - len(tree[0]))  # 1 167 primes (no factor below 300, below 300^2)
+    while len(tree[-1]) > 2:
+        tree.append([a * b for a, b in zip(tree[-1][::2], tree[-1][1::2])])
+    _PRIME_TREE = tree
+    return tree
+
+
 def _miller_rabin(n: int) -> bool:
     """Primality of 2^20 <= n < 3.3e24 with no prime factor below 300: the
     strong probable-prime test to as many of _MR_BASES as _MR_TIERS asks for."""
@@ -133,11 +141,11 @@ def _miller_rabin(n: int) -> bool:
 def factorize(n: int) -> dict[int, int]:
     """Prime factorization of n >= 1 as {prime: exponent}, primes ascending.
 
-    Trial division by the primes below 300 leaves a cofactor with no prime
-    factor below 300, so it, and every piece split off it, is prime when
-    below 300^2.  A larger piece is proven prime (by the table or by
-    Miller-Rabin) or split, as a square or by _brent_rho.  Raises ValueError
-    when the cofactor is at or above 3.3e24, beyond every primality proof.
+    Trial division by the primes below 300 leaves a cofactor whose pieces
+    below 300^2 are prime.  A larger piece is proven prime (by the table or
+    Miller-Rabin) or split: as a square, below 1e8 by a descent of
+    _PRIME_TREE, else by _brent_rho.  Raises ValueError when the cofactor is
+    at or above 3.3e24, beyond every primality proof.
     """
     if n < 1:
         raise ValueError(f"cannot factor {n}; need a positive integer")
@@ -170,7 +178,13 @@ def factorize(n: int) -> dict[int, int]:
         elif (r := isqrt(m)) * r == m:  # rho would need ~sqrt(r) steps
             stack += (r, r)
         else:
-            f = _brent_rho(m)
+            f = i = 0
+            if m < _TREE_BOUND * _TREE_BOUND:  # descend to a prime factor below 1e4
+                for level in reversed(tree := _PRIME_TREE or _prime_tree()):
+                    i = 2 * i + (gcd(level[2 * i], m) == 1)  # keep a child sharing a factor
+                f = tree[0][i]
+            if not 1 < f < m or m % f:  # 1e8 or above, or a prime read as composite
+                f = _brent_rho(m)
             stack += (f, m // f)
     for m in sorted(large):  # keep the keys ascending
         out[m] = out.get(m, 0) + 1
@@ -178,7 +192,7 @@ def factorize(n: int) -> dict[int, int]:
 
 
 def _brent_rho(n: int) -> int:
-    """A proper factor of an odd composite n.
+    """A proper factor of an odd composite n, which factorize passes on from 1e8 up.
 
     Pollard rho on x -> x^2 + c with Brent's cycle search, taking one gcd per
     128 steps and retracing the last block when that gcd jumps to n (Brent,

@@ -162,10 +162,7 @@ def _cmd_genus(args: argparse.Namespace) -> int:
 def _cmd_symbol(args: argparse.Namespace) -> int:
     value = rational_cubic_symbol(args.a, args.p)
     print(f"({args.a}/{args.p})_3 = {value.value}")
-    if value.value == "1":
-        print(f"{args.a} is a cubic residue modulo {args.p}")
-    else:
-        print(f"{args.a} is not a cubic residue modulo {args.p}")
+    print(f"{args.a} is {'' if value.value == '1' else 'not '}a cubic residue modulo {args.p}")
     return 0
 
 

@@ -64,6 +64,13 @@ def _integer(value: object, name: str) -> int:
     return value
 
 
+def _named(value: int | ClassGroupShape) -> str:
+    """A row value in a short phrase: an int by _shown, a shape past 100 characters by its orders."""
+    if isinstance(value, int):
+        return _shown(value)
+    return text if len(text := str(value)) <= 100 else f"orders {reprlib.repr(value.orders)}"
+
+
 def _parse_row(line: str) -> FixtureRow:
     try:
         record = json.loads(line)
@@ -100,7 +107,7 @@ def _parse_row(line: str) -> FixtureRow:
         raise ValueError(f"h_k3 = {_shown(h_k3)} violates h_k3 = (u/3)*h_gamma3^2 = {_shown(expected_hk)}")
     for key, shape, h in (("c_gamma", c_gamma, "h_gamma3"), ("c_k", c_k, "h_k3")):
         if (order := shape.order) != record[h]:
-            named = f"= {text}" if len(text := str(shape)) <= 100 else f"of orders {reprlib.repr(shape.orders)}"
+            named = f"= {text}" if (text := _named(shape)) == str(shape) else f"of {text}"
             raise ValueError(f"{key} {named} has order {_shown(order)}, not {h} = {_shown(record[h])}")
     return FixtureRow(p, h_gamma3, h_k3, u, c_gamma, c_k)
 
@@ -265,17 +272,18 @@ def reproduce_table(
             message = f"p = {row.p}: certified {verdict.class_group}"
         elif data != row:
             message = f"p = {row.p}: " + "; ".join(
-                f"{k} = {getattr(data, k)} recomputed, {getattr(row, k)} in the row"
+                f"{k} = {_named(getattr(data, k))} recomputed, {_named(getattr(row, k))} in the row"
                 for k in FixtureRow._fields
                 if getattr(data, k) != getattr(row, k)
             )
         else:
             got = "no certified shape" if verdict.class_group is None else verdict.class_group
             message = (
-                f"p = {row.p}: expected certified {row.c_k}, got {got}"
+                f"p = {row.p}: expected certified {_named(row.c_k)}, got {got}"
                 f" ({verdict.status.value}); trace: " + " | ".join(verdict.trace)
             )
         if cas_command is not None:
-            message += f" [CAS: h_gamma3 = {data.h_gamma3}, c_k = {data.c_k}, u inferred = {data.u}]"
+            message += (f" [CAS: h_gamma3 = {_named(data.h_gamma3)}, c_k = {_named(data.c_k)},"
+                        f" u inferred = {data.u}]")
         results.append(TableRowResult(p=row.p, ok=ok, message=message, verdict=verdict))
     return TableReport(results=tuple(results))

@@ -130,15 +130,7 @@ def normalize(n: int) -> GerthForm:
         classes[_CLASS_OF[p % 9]].append((p, e))
     if d == 1:
         raise ValueError(f"{n} is a perfect cube; its cube root is rational")
-    c1, c47, c8, c25 = classes
-    return GerthForm(
-        d=d,
-        e=e3,
-        class1mod9=tuple(c1),
-        class47mod9=tuple(c47),
-        class8mod9=tuple(c8),
-        class25mod9=tuple(c25),
-    )
+    return GerthForm(d, e3, *map(tuple, classes))
 
 
 def gerth_decompose(d: int) -> GerthForm:

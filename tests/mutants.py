@@ -45,6 +45,8 @@ _SIEVE = "tests/test_intmath.py::test_matches_a_plain_sieve_across_the_table"
 _DOMAIN = "tests/test_classifier.py::test_the_elimination_over_its_whole_domain"
 _STRAINS = "tests/test_cli.py::test_table_fixture_that_strains_the_parser_is_one_error_line"
 _SCAN_ORACLE = "tests/test_cli.py::test_scan_prints_what_deciding_every_radicand_prints"
+_LONG_SHAPES = "tests/test_cli.py::test_table_row_of_long_shapes_prints_short_lines"
+_NO_RHO = "tests/test_intmath.py::test_composites_below_1e8_split_without_rho"
 
 MUTANTS = (
     # the prime table's builder
@@ -70,6 +72,27 @@ MUTANTS = (
         '_PRIME_BITS = bits.to_bytes(_TABLE_LIMIT >> 4, "little")',
         '_PRIME_BITS = (bits ^ 1 << (1047791 >> 1)).to_bytes(_TABLE_LIMIT >> 4, "little")',
         (_SIEVE,),
+    ),
+    # the product tree that splits a composite cofactor below 1e8, and its descent
+    Mutant(
+        "descent keeps the child without the factor", "cubic93/_intmath.py",
+        "i = 2 * i + (gcd(level[2 * i], m) == 1)", "i = 2 * i + (gcd(level[2 * i], m) > 1)",
+        (_NO_RHO,),
+    ),
+    Mutant(
+        "tree leaves start above 1000", "cubic93/_intmath.py",
+        "range(_TRIAL_BOUND + 1, _TREE_BOUND, 2)", "range(1001, _TREE_BOUND, 2)",
+        (_NO_RHO, "tests/test_intmath.py::test_prime_tree_is_built_once_from_the_primes_between_300_and_1e4"),
+    ),
+    Mutant(
+        "descent only below 1e6", "cubic93/_intmath.py",
+        "if m < _TREE_BOUND * _TREE_BOUND:", "if m < 10**6:",
+        (_NO_RHO,),
+    ),
+    Mutant(
+        "leaf taken as a factor unchecked", "cubic93/_intmath.py",
+        "if not 1 < f < m or m % f:", "if not f:",
+        ("tests/test_intmath.py::test_rho_raises_on_a_prime_read_as_composite",),
     ),
     # the two parsers of outside data
     Mutant(
@@ -112,8 +135,13 @@ MUTANTS = (
     ),
     Mutant(
         "a long shape printed in full", "cubic93/fixtures.py",
-        "if len(text := str(shape)) <= 100 else", "if len(text := str(shape)) <= 10**9 else",
-        (f"{_STRAINS}[c_k-of-12000-for-3818-digits]",),
+        "if len(text := str(value)) <= 100 else", "if len(text := str(value)) <= 10**9 else",
+        (f"{_STRAINS}[c_k-of-12000-for-3818-digits]", _LONG_SHAPES),
+    ),
+    Mutant(
+        "expected shape of a failed row printed in full", "cubic93/fixtures.py",
+        "expected certified {_named(row.c_k)}", "expected certified {row.c_k}",
+        (_LONG_SHAPES,),
     ),
     Mutant(
         "long increasing orders printed in full", "cubic93/classifier.py",

@@ -660,6 +660,42 @@ def test_scan_and_classify_in_two_threads_give_the_verdicts_of_one(monkeypatch):
     assert gc.isenabled()
 
 
+def test_threads_that_build_the_prime_tree_at_once_give_the_verdicts_of_one(monkeypatch):
+    # every radicand here has a composite cofactor below 1e8 with no prime
+    # factor below 300, so each thread may find the product tree empty and
+    # build it; either build is the same whole tree, published at once, so
+    # every verdict holds and no cofactor falls through to rho
+    radicands = [k * c for c in (307 * 311, 3467 * 8971, 457 * 461 * 463, 9973 * 10_007)
+                 for k in (1, 2, 3, 7, 19)] + [307**2, 2 * 9973**2]
+
+    def classify_all(order: list[int]) -> dict[int, object]:
+        return {d: classify(d, 9, 1) for d in order}
+
+    expected = classify_all(radicands)
+    factor_rational_prime.cache_clear()
+    monkeypatch.setattr(cubic93._intmath, "_PRIME_TREE", [])
+    monkeypatch.setattr(cubic93._intmath, "_PRIME_BITS", b"")
+    rho, rho_calls = cubic93._intmath._brent_rho, []
+    monkeypatch.setattr(cubic93._intmath, "_brent_rho", lambda n: rho_calls.append(n) or rho(n))
+    got: list[dict[int, object]] = []
+    threads = [  # four threads, two in each order
+        threading.Thread(target=lambda order=order: got.append(classify_all(order)))
+        for order in (radicands, radicands[::-1]) * 2
+    ]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=120)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert got == [expected] * 4 and rho_calls == []
+    assert len(cubic93._intmath._PRIME_TREE) == 11
+
+
 def test_scan_equals_the_per_radicand_pipeline():
     # the per-d loop scan ran before the block sieve, kept as the oracle
     limit = 30_000

@@ -346,6 +346,44 @@ def test_table_row_recomputed_by_a_stand_in_cas(tmp_path: Path, capsys, sextic, 
     assert run(capsys, "table", "--fixtures", str(row), "--cas", cas) == (code, out, "")
 
 
+def test_table_row_of_long_shapes_prints_short_lines(tmp_path: Path):
+    # a consistent row (3^3999 = (1/3) * (3^2000)^2) of 2 000 and 3 999 cyclic
+    # factors: each message names a shape past 100 characters by its cut
+    # orders, and an integer past 39 digits by its size; the trace still
+    # prints the supplied h_gamma3, all 955 digits of it
+    row = tmp_path / "row.jsonl"
+    row.write_text(json.dumps(
+        {"p": 199, "h_gamma3": 3**2000, "h_k3": 3**3999, "u": 1, "c_gamma": [3] * 2000, "c_k": [3] * 3999}
+    ) + "\n")
+    cut = "orders (3, 3, 3, 3, 3, 3, ...)"
+
+    def table(*cas: str) -> subprocess.CompletedProcess:
+        return subprocess.run(
+            [sys.executable, "-S", "-m", "cubic93.cli", "table", "--fixtures", str(row), *cas],
+            capture_output=True, text=True, env=subprocess_env(), timeout=120,
+        )
+
+    proc = table()
+    fail, summary = proc.stdout.splitlines()
+    assert (proc.returncode, proc.stderr, summary) == (2, "", "0/1 rows certified as type (9, 3)")
+    assert fail.startswith(f"FAIL  p = 199: expected certified {cut}, got no certified shape (excluded)")
+    assert len(fail) < 1_500 and "Z/3 x Z/3" not in fail, fail[:300]
+    # a stand-in gp whose 2 000 and 4 000 factors Z/3 give u = 3
+    stand_in = tmp_path / "gp.py"
+    stand_in.write_text(
+        "import sys\nsys.stdin.read()\nprint('CUBIC [' + ', '.join(['3'] * 2000) + ']')\n"
+        "print('SEXTIC [' + ', '.join(['3'] * 4000) + ']')\n"
+    )
+    proc = table("--cas", shlex.join([sys.executable, "-S", str(stand_in)]))
+    assert (proc.returncode, proc.stderr) == (2, "")
+    assert proc.stdout.splitlines() == [
+        "FAIL  p = 199: h_k3 = a 6340-bit integer recomputed, a 6339-bit integer in the row;"
+        f" u = 3 recomputed, 1 in the row; c_k = {cut} recomputed, {cut} in the row"
+        f" [CAS: h_gamma3 = a 3170-bit integer, c_k = {cut}, u inferred = 3]",
+        "0/1 rows certified as type (9, 3)",
+    ]
+
+
 def test_scan_text(capsys):
     code, out, _ = run(capsys, "scan", "--max", "200")
     assert code == 0

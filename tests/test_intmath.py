@@ -6,10 +6,12 @@ size.  So it is checked against a plain sieve over the whole table range,
 against plain trial division across each switch point and on the strong
 pseudoprimes that bound each tier, and against sympy as an independent
 second oracle on large inputs.  factorize trial-divides only by the primes
-below 300 and hands the cofactor to the table, Miller-Rabin and
-Pollard-Brent rho.  So it is checked against full trial division, on
-cofactors on both sides of 2^20, and against sympy on the inputs that rho
-finds hardest.
+below 300 and hands the cofactor to the table and Miller-Rabin; it splits
+a composite piece below 1e8 by a gcd descent over a product tree of the
+primes below 1e4, and a larger one by Pollard-Brent rho.  So it is checked
+against full trial division, on cofactors on both sides of 2^20, below 1e8
+with rho made to fail if it is called, and against sympy on the inputs
+that rho finds hardest.
 """
 
 from __future__ import annotations
@@ -183,6 +185,66 @@ def test_factorize_matches_trial_division_below_1e12(n):
     fac = factorize(n)
     assert fac == factorize_by_trial_division(n)
     assert list(fac) == sorted(fac)  # eisenstein.factor relies on this order
+
+
+#: composites below 1e8 with every prime factor above 300: p*q with both
+#: primes below 1e4, p*q with one on each side of it, p^2, p^2*q, p*q*r with
+#: all three in (300, 465), the two largest tree primes, and 9973 * 10007
+TREE_SPLITS = (
+    307 * 311, 3467 * 8971, 9941 * 9949, 9967 * 9973,
+    307 * 325_709, 1009 * 99_083, 9973 * 10_007,
+    307**2, 9973**2, 307**2 * 311,
+    307 * 311 * 313, 457 * 461 * 463, 307 * 311 * 463,
+)
+
+
+def test_composites_below_1e8_split_without_rho(monkeypatch):
+    # below 1e8 a composite with no prime factor below 300 has one below
+    # 1e4, so the descent over the product tree finds it and rho never runs
+    def no_rho(n: int) -> int:
+        pytest.fail(f"_brent_rho({n}) was called below 1e8")
+
+    monkeypatch.setattr(_intmath, "_brent_rho", no_rho)
+    rng = random.Random(5)
+    sampled = []
+    while len(sampled) < 200:  # random composites in [300^2, 1e8) with no factor below 300
+        n = rng.randrange(90_000, 10**8)
+        if gcd(n, _PRIMORIAL) == 1 and not is_prime_by_trial_division(n):
+            sampled.append(n)
+    assert max(TREE_SPLITS) < 10**8 and 9973 * 10_007 == 99_799_811
+    for c in TREE_SPLITS + tuple(sampled):
+        assert gcd(c, _PRIMORIAL) == 1, c
+        for n in (c, 2 * 293 * c):
+            fac = factorize(n)
+            assert fac == factorize_by_trial_division(n) and list(fac) == sorted(fac), n
+    sympy = pytest.importorskip("sympy")
+    for c in TREE_SPLITS:
+        assert factorize(c) == sympy.factorint(c), c
+
+
+def test_composites_from_1e8_up_still_reach_rho(monkeypatch):
+    calls = []
+    rho = _intmath._brent_rho
+    monkeypatch.setattr(_intmath, "_brent_rho", lambda n: calls.append(n) or rho(n))
+    assert factorize(10_007 * 10_009) == {10_007: 1, 10_009: 1}  # 100 160 063
+    assert factorize(307 * 325_747) == {307: 1, 325_747: 1}  # 100 004 329
+    assert calls == [100_160_063, 100_004_329]
+    assert factorize(9973 * 10_007) == {9973: 1, 10_007: 1} and len(calls) == 2
+
+
+def test_prime_tree_is_built_once_from_the_primes_between_300_and_1e4(monkeypatch):
+    # level 0 holds the primes in order, padded with 1s to 2^11; each level
+    # above holds the products of pairs, up to the two children of the root
+    monkeypatch.setattr(_intmath, "_PRIME_TREE", [])
+    assert factorize(307 * 311) == {307: 1, 311: 1}
+    tree = _intmath._PRIME_TREE
+    primes = [p for p in range(300, 10_000) if is_prime_by_trial_division(p)]
+    assert len(primes) == 1167 and tree[0] == primes + [1] * (2048 - 1167)
+    assert [len(level) for level in tree] == [2**k for k in range(11, 0, -1)]
+    for below, above in zip(tree, tree[1:]):
+        assert above == [below[2 * j] * below[2 * j + 1] for j in range(len(above))]
+    factorize(311 * 313)
+    assert _intmath._PRIME_TREE is tree
 
 
 def test_factorize_rejects_non_positive():
