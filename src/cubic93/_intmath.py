@@ -233,7 +233,7 @@ def _shown(n: int) -> str:
 def three_part(n: int) -> int:
     """The largest power of 3 dividing n >= 1."""
     if n < 1:
-        raise ValueError(f"cannot take the 3-part of {n}; need a positive integer")
+        raise ValueError(f"cannot take the 3-part of {_shown(n)}; need a positive integer")
     g = 1
     while n % 3 == 0:
         g *= 3

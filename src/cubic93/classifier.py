@@ -30,7 +30,7 @@ from collections.abc import Iterator
 from enum import Enum
 from typing import NamedTuple
 
-from ._intmath import _shown, is_prime, three_part
+from ._intmath import _PRINT_BITS, _shown, is_prime, three_part
 from .eisenstein import CubicCharacterValue, _cubic_symbol
 from .radicand import GerthForm, _cube_free_forms, gerth_decompose, normalize
 from .ramification import QStar, _ambiguous_rank
@@ -463,10 +463,13 @@ def classify(d: int, h_gamma3: int | None = None, u: int | None = None) -> Verdi
     rejected).  h_gamma3 is the exact 3-part of the cubic field's class
     number; u is the unit index of the sextic field, 1 or 3.
     """
+    # then h_k3 <= h_gamma3^2 fits in _PRINT_BITS, so every output can print it
+    if h_gamma3 is not None and h_gamma3.bit_length() > _PRINT_BITS // 2:
+        raise ValueError(f"h_gamma3 must have at most {_PRINT_BITS // 2} bits, got {_shown(h_gamma3)}")
     if h_gamma3 is not None and h_gamma3 < 1:
-        raise ValueError(f"h_gamma3 must be positive, got {h_gamma3}")
+        raise ValueError(f"h_gamma3 must be positive, got {_shown(h_gamma3)}")
     if h_gamma3 is not None and three_part(h_gamma3) != h_gamma3:
-        raise ValueError(f"h_gamma3 must be a power of 3, got {h_gamma3}")
+        raise ValueError(f"h_gamma3 must be a power of 3, got {_shown(h_gamma3)}")
     if u is not None and u not in (1, 3):
         raise ValueError(f"unit index must be 1 or 3, got {u}")
 
@@ -493,12 +496,12 @@ def classify(d: int, h_gamma3: int | None = None, u: int | None = None) -> Verdi
             reasons.append(
                 Reason(
                     ReasonCode.DATA_H_GAMMA3,
-                    f"h_gamma3 = {h_gamma3} != 9, so the cubic 3-class group"
+                    f"h_gamma3 = {_shown(h_gamma3)} != 9, so the cubic 3-class group"
                     " cannot be cyclic of order 9",
                 )
             )
             trace.append(
-                f"supplied h_gamma3 = {h_gamma3}: type (9, 3) requires the"
+                f"supplied h_gamma3 = {_shown(h_gamma3)}: type (9, 3) requires the"
                 " cubic 3-class group Z/9, impossible here"
             )
         if u == 3:
@@ -526,7 +529,7 @@ def classify(d: int, h_gamma3: int | None = None, u: int | None = None) -> Verdi
         # already excluded on form grounds; fold in any supplied data as a note
         match = "matches" if v.predicted_class_group.order == h_k3 else "conflicts with"
         trace.append(
-            f"supplied data give h_k3 = {h_k3}, which {match} the"
+            f"supplied data give h_k3 = {_shown(h_k3)}, which {match} the"
             f" predicted shape {v.predicted_class_group}"
         )
     return v._replace(

@@ -15,6 +15,7 @@ import os
 import shlex
 import sys
 
+from ._intmath import _shown
 from .classifier import Verdict, VerdictStatus, _candidate_forms, _necessary_form, classify
 from .eisenstein import SplitKind, rational_cubic_symbol
 from .fixtures import CasError, FixtureError, reproduce_table
@@ -94,7 +95,8 @@ def _print_verdict(v: Verdict) -> None:
     if v.predicted_class_group is not None:
         print(f"predicted 3-class group of k: {v.predicted_class_group}")
     if v.h_gamma3 is not None or v.u is not None:
-        print(f"inputs: h_gamma3 = {v.h_gamma3}, u = {v.u}, h_k3 = {v.h_k3}")
+        h_gamma3, h_k3 = (n if n is None else _shown(n) for n in (v.h_gamma3, v.h_k3))
+        print(f"inputs: h_gamma3 = {h_gamma3}, u = {v.u}, h_k3 = {h_k3}")
     for r in v.reasons:
         tag = " (conjecture-backed)" if r.conjectural else ""
         print(f"reason: [{r.code.value}]{tag} {r.detail}")

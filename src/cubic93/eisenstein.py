@@ -170,11 +170,6 @@ class EisensteinInt:
             n >>= 1
         return result
 
-    def is_prime(self) -> bool:
-        """True for primes of Z[w]: norm a rational prime, or a unit multiple
-        of an inert rational prime q = 2 (mod 3)."""
-        return _residue_field(self) is not None
-
     def __str__(self) -> str:
         if self.b == 0:
             return str(self.a)
@@ -208,22 +203,6 @@ class CubicCharacterValue(Enum):
     ONE = "1"
     OMEGA = "w"
     OMEGA_SQUARED = "w^2"
-
-    @property
-    def exponent(self) -> int:
-        """k with value = w^k, for the three nonzero values."""
-        if self is CubicCharacterValue.ZERO:
-            raise ValueError("0 is not a root of unity")
-        return {"1": 0, "w": 1, "w^2": 2}[self.value]
-
-    @classmethod
-    def from_exponent(cls, k: int) -> "CubicCharacterValue":
-        return (cls.ONE, cls.OMEGA, cls.OMEGA_SQUARED)[k % 3]
-
-    def __mul__(self, other: "CubicCharacterValue") -> "CubicCharacterValue":
-        if CubicCharacterValue.ZERO in (self, other):
-            return CubicCharacterValue.ZERO
-        return CubicCharacterValue.from_exponent(self.exponent + other.exponent)
 
 
 class SplitKind(Enum):
@@ -312,31 +291,6 @@ def _omega_residue(s: int, t: int, p: int) -> int:
     return -s * pow(t, -1, p) % p
 
 
-def _residue_field(pi: EisensteinInt) -> tuple[int, int | None] | None:
-    """Z[w]/(pi) for a prime pi, or None when pi is not prime.
-
-    (p, m) when N(pi) = p is a rational prime: the residue field is F_p with
-    w mapped to m.  (q, None) when pi is a unit times an inert rational
-    prime q: the residue field is F_q[w] = F_{q^2}, elements reduced
-    componentwise mod q.
-    """
-    n = pi.norm()
-    if n < 2:
-        return None
-    if _is_rational_prime(n):
-        return n, _omega_residue(pi.a, pi.b, n)
-    q = isqrt(n)
-    if (
-        q * q == n
-        and q % 3 == 2
-        and pi.a % q == 0
-        and pi.b % q == 0
-        and _is_rational_prime(q)
-    ):
-        return q, None
-    return None
-
-
 def _split_character(x: int, p: int, m: int) -> CubicCharacterValue:
     """The cubic character of a unit x of F_p = Z[w]/(pi), where w maps to m:
     x^((p - 1)/3) is 1, m or m^2."""
@@ -380,17 +334,18 @@ def cubic_character(alpha: EisensteinInt, pi: EisensteinInt) -> CubicCharacterVa
     m = -s/t mod p, when pi = s + t*w has prime norm p; in F_q[w], on pairs
     reduced mod q, when pi is a unit times an inert q.
     """
-    field = _residue_field(pi)
-    if field is None:
+    n = pi.norm()
+    if n > 1 and _is_rational_prime(n):
+        if n == 3:
+            raise ValueError("the character is not defined at the prime above 3")
+        m = _omega_residue(pi.a, pi.b, n)
+        x = (alpha.a + alpha.b * m) % n
+        return _split_character(x, n, m) if x else CubicCharacterValue.ZERO
+    q = isqrt(n)
+    if q * q != n or q % 3 != 2 or pi.a % q or pi.b % q or not _is_rational_prime(q):
         raise ValueError(f"{pi} is not a prime of Z[w]")
-    p, m = field
-    if p == 3:
-        raise ValueError("the character is not defined at the prime above 3")
-    if m is None:
-        if alpha.a % p or alpha.b % p:
-            return _inert_character(alpha, p)
-    elif x := (alpha.a + alpha.b * m) % p:
-        return _split_character(x, p, m)
+    if alpha.a % q or alpha.b % q:
+        return _inert_character(alpha, q)
     return CubicCharacterValue.ZERO
 
 
@@ -420,12 +375,6 @@ class EisensteinFactorization(NamedTuple):
 
     unit: EisensteinInt
     factors: tuple[tuple[EisensteinInt, int], ...]
-
-    def value(self) -> EisensteinInt:
-        out = self.unit
-        for prime, exp in self.factors:
-            out = out * prime**exp
-        return out
 
 
 def factor(z: EisensteinInt) -> EisensteinFactorization:

@@ -105,6 +105,8 @@ def _parse_row(line: str) -> FixtureRow:
     expected_hk = hk_from_hgamma(h_gamma3, u)
     if h_k3 != expected_hk:
         raise ValueError(f"h_k3 = {_shown(h_k3)} violates h_k3 = (u/3)*h_gamma3^2 = {_shown(expected_hk)}")
+    if h_gamma3.bit_length() > _PRINT_BITS // 2:  # as classify does, so table reports bad data
+        raise ValueError(f"h_gamma3 must have at most {_PRINT_BITS // 2} bits, got {_shown(h_gamma3)}")
     for key, shape, h in (("c_gamma", c_gamma, "h_gamma3"), ("c_k", c_k, "h_k3")):
         if (order := shape.order) != record[h]:
             named = f"= {text}" if (text := _named(shape)) == str(shape) else f"of {text}"
@@ -178,7 +180,7 @@ def _tagged_shape(output: str, tag: str) -> ClassGroupShape:
             if (bits := sum(g.bit_length() for g in parts)) > _PRINT_BITS:
                 raise ValueError(f"{tag} lists {len(parts)} cyclic 3-parts, {bits} bits: too large")
             return ClassGroupShape(tuple(parts))
-    raise CasError(f"no '{tag}' line in CAS output: {output!r}")
+    raise CasError(f"no '{tag}' line in CAS output: {reprlib.repr(output)}")
 
 
 def cas_query(d: int, command: tuple[str, ...]) -> FixtureRow:
@@ -211,8 +213,8 @@ def cas_query(d: int, command: tuple[str, ...]) -> FixtureRow:
     u, remainder = divmod(3 * h_k3, h_gamma3 * h_gamma3)
     if remainder or u not in (1, 3):
         raise CasError(
-            f"inconsistent CAS data for d = {d}: h_gamma3 = {h_gamma3},"
-            f" h_k3 = {h_k3} admit no unit index in {{1, 3}}"
+            f"inconsistent CAS data for d = {d}: h_gamma3 = {_shown(h_gamma3)},"
+            f" h_k3 = {_shown(h_k3)} admit no unit index in {{1, 3}}"
         )
     return FixtureRow(d, h_gamma3, h_k3, u, c_gamma, c_k)
 

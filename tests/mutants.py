@@ -47,6 +47,8 @@ _STRAINS = "tests/test_cli.py::test_table_fixture_that_strains_the_parser_is_one
 _SCAN_ORACLE = "tests/test_cli.py::test_scan_prints_what_deciding_every_radicand_prints"
 _LONG_SHAPES = "tests/test_cli.py::test_table_row_of_long_shapes_prints_short_lines"
 _NO_RHO = "tests/test_intmath.py::test_composites_below_1e8_split_without_rho"
+_HUGE_H3 = "tests/test_cli.py::test_classify_refuses_an_h_gamma3_past_7000_bits_before_any_output"
+_NAMED_H = "tests/test_cli.py::test_classify_names_a_class_number_past_39_digits_by_its_size"
 
 MUTANTS = (
     # the prime table's builder
@@ -113,6 +115,16 @@ MUTANTS = (
         ),
     ),
     Mutant(
+        "CAS message names its class numbers in full", "cubic93/fixtures.py",
+        "h_gamma3 = {_shown(h_gamma3)},", "h_gamma3 = {h_gamma3},",
+        ("tests/test_data_bridge.py::test_any_gp_output_is_a_row_or_one_cas_error",),
+    ),
+    Mutant(
+        "a fixture h_gamma3 past 7000 bits taken", "cubic93/fixtures.py",
+        "if h_gamma3.bit_length() > _PRINT_BITS // 2:", "if h_gamma3.bit_length() > _PRINT_BITS:",
+        (f"{_STRAINS}[h_gamma3-of-7001-bits]",),
+    ),
+    Mutant(
         "RecursionError from the JSON decoder not caught", "cubic93/fixtures.py",
         "except (ValueError, RecursionError) as exc:", "except ValueError as exc:",
         (f"{_STRAINS}[nested-1100-deep]",),
@@ -147,6 +159,27 @@ MUTANTS = (
         "long increasing orders printed in full", "cubic93/classifier.py",
         "orders {reprlib.repr(orders)} must", "orders {orders} must",
         (f"{_STRAINS}[c_gamma-of-6000-increasing]",),
+    ),
+    # a supplied class number: bounded, and named by its size
+    Mutant(
+        "an h_gamma3 of up to 28 000 bits taken", "cubic93/classifier.py",
+        "h_gamma3.bit_length() > _PRINT_BITS // 2:", "h_gamma3.bit_length() > 2 * _PRINT_BITS:",
+        (f"{_HUGE_H3}[text]", f"{_HUGE_H3}[json]"),
+    ),
+    Mutant(
+        "supplied h_gamma3 traced in full", "cubic93/classifier.py",
+        "supplied h_gamma3 = {_shown(h_gamma3)}:", "supplied h_gamma3 = {h_gamma3}:",
+        (f"{_NAMED_H}[candidate]", _LONG_SHAPES),
+    ),
+    Mutant(
+        "h_k3 of the supplied data noted in full", "cubic93/classifier.py",
+        "give h_k3 = {_shown(h_k3)},", "give h_k3 = {h_k3},",
+        (f"{_NAMED_H}[excluded]",),
+    ),
+    Mutant(
+        "inputs line prints the class numbers in full", "cubic93/cli.py",
+        "(n if n is None else _shown(n) for n in", "(n for n in",
+        (f"{_NAMED_H}[candidate]", "tests/test_cli.py::test_classify_prints_the_largest_h_gamma3_it_takes[1]"),
     ),
     # the residue characters
     Mutant(
@@ -216,13 +249,9 @@ MUTANTS = (
         ("tests/test_eisenstein.py::test_str_of_a_pure_multiple_of_omega",),
     ),
     Mutant(
-        "the character value 0 given exponent 0", "cubic93/eisenstein.py",
-        'raise ValueError("0 is not a root of unity")', "return 0",
-        ("tests/test_eisenstein.py::test_character_value_group_law",),
-    ),
-    Mutant(
         "a unit modulus not refused", "cubic93/eisenstein.py",
-        "    if field is None:\n", "    if field is None and not pi.is_unit:\n",
+        '        raise ValueError(f"{pi} is not a prime of Z[w]")\n',
+        '        if not pi.is_unit:\n            raise ValueError(f"{pi} is not a prime of Z[w]")\n',
         ("tests/test_eisenstein.py::test_character_rejects_bad_moduli",),
     ),
     # the elimination

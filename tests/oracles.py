@@ -69,6 +69,36 @@ def cube_free_sieve(limit: int) -> bytearray:
     return flags
 
 
+def is_eisenstein_prime_by_trial_division(z: EisensteinInt) -> bool:
+    """True for primes of Z[w]: a prime norm, or the norm q^2 of a unit
+    times an inert prime q = 2 (mod 3), which then divides both coordinates."""
+    n = z.norm()
+    q = isqrt(n)
+    return is_prime_by_trial_division(n) or (
+        q * q == n and q % 3 == 2 and z.a % q == 0 and z.b % q == 0 and is_prime_by_trial_division(q)
+    )
+
+
+#: the cube roots of unity by their exponent k in w^k
+_ROOTS = (CubicCharacterValue.ONE, CubicCharacterValue.OMEGA, CubicCharacterValue.OMEGA_SQUARED)
+
+
+def character_product(*values: CubicCharacterValue) -> CubicCharacterValue:
+    """The product of character values in mu_3 and 0: 0 absorbs, and the
+    exponents of w add mod 3."""
+    if CubicCharacterValue.ZERO in values:
+        return CubicCharacterValue.ZERO
+    return _ROOTS[sum(_ROOTS.index(v) for v in values) % 3]
+
+
+def recomposed(f: EisensteinFactorization) -> EisensteinInt:
+    """unit * prod(prime^exponent): the value a factorization stands for."""
+    out = f.unit
+    for prime, exp in f.factors:
+        out = out * prime**exp
+    return out
+
+
 def gcd(x: EisensteinInt, y: EisensteinInt) -> EisensteinInt:
     """A greatest common divisor of x and y (unique up to units)."""
     while not y.is_zero:
@@ -108,7 +138,7 @@ def cubic_symbol_of_three(p: int) -> CubicCharacterValue:
     pi = factor_rational_prime(p).factors[0]
     if pi.norm() != p or pi.a % 3 != 2 or pi.b % 3:
         raise ArithmeticError(f"{pi} is not a primary prime above {p}")
-    return CubicCharacterValue.from_exponent(2 * pi.b // 3)
+    return _ROOTS[2 * pi.b // 3 % 3]
 
 
 def factor_by_divmod(z: EisensteinInt) -> EisensteinFactorization:

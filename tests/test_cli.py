@@ -80,6 +80,36 @@ def test_classify_bad_u_is_usage_error(capsys):
     assert exc.value.code == 1
 
 
+@pytest.mark.parametrize("as_json", [[], ["--json"]], ids=["text", "json"])
+def test_classify_refuses_an_h_gamma3_past_7000_bits_before_any_output(capsys, as_json):
+    # its h_k3 = h_gamma3^2 / 3 would have 4 771 digits, more than CPython prints
+    code, out, err = run(capsys, "classify", "199", "--h3", str(3**5000), "--u", "1", *as_json)
+    assert (code, out) == (1, "")
+    assert err == "error: h_gamma3 must have at most 7000 bits, got a 7925-bit integer\n"
+
+
+@pytest.mark.parametrize("u", [1, 3])
+def test_classify_prints_the_largest_h_gamma3_it_takes(capsys, u):
+    h = 3**4416  # 7000 bits; h_k3 = (u/3) * h^2 has at most 14 000
+    code, out, _ = run(capsys, "classify", "199", "--h3", str(h), "--u", str(u))
+    assert code == 0 and "inputs: h_gamma3 = a 7000-bit integer, u = " in out
+    assert max(map(len, out.splitlines())) < 200
+    code, out, _ = run(capsys, "classify", "199", "--h3", str(h), "--u", str(u), "--json")
+    blob = json.loads(out)
+    assert code == 0 and (blob["h_gamma3"], blob["h_k3"]) == (h, u * h * h // 3)
+
+
+@pytest.mark.parametrize("d, named", [
+    ("199", "supplied h_gamma3 = a 3170-bit integer: type (9, 3)"),  # a candidate's trace
+    ("7", "supplied data give h_k3 = a 6339-bit integer, which"),  # an excluded radicand's note
+], ids=["candidate", "excluded"])
+def test_classify_names_a_class_number_past_39_digits_by_its_size(capsys, d, named):
+    code, out, _ = run(capsys, "classify", d, "--h3", str(3**2000), "--u", "1")
+    assert code == 0 and named in out
+    assert "inputs: h_gamma3 = a 3170-bit integer, u = 1, h_k3 = a 6339-bit integer\n" in out
+    assert max(map(len, out.splitlines())) < 200
+
+
 def test_unknown_command_is_usage_error(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["frobnicate"])
@@ -231,10 +261,13 @@ def test_table_fixture_without_rows_is_data_error(tmp_path: Path, capsys, text):
     (json.dumps({"p": 199, "h_gamma3": 3**4000, "h_k3": 3**8000, "u": 3, "c_gamma": [3] * 4000,
                  "c_k": [3] * 12_000}),
      "c_k of orders (3, 3, 3, 3, 3, 3, ...) has order a 19020-bit integer, not h_k3 = a 12680-bit integer"),
+    (json.dumps({"p": 199, "h_gamma3": 3**4417, "h_k3": 3**8833, "u": 1, "c_gamma": [3**4417],
+                 "c_k": [3**8833]}),
+     "h_gamma3 must have at most 7000 bits, got a 7001-bit integer"),
 ], ids=["nested-1100-deep", "c_k-of-100000", "h_gamma3-of-2386-digits", "c_k-of-100-huge",
         "c_k-of-5-huge", "p-a-list-of-100000", "c_gamma-of-20000-for-3818-digits",
         "both-class-numbers-of-3818-digits", "p-of-3001-digits", "c_gamma-of-6000-increasing",
-        "c_k-of-12000-for-3818-digits"])
+        "c_k-of-12000-for-3818-digits", "h_gamma3-of-7001-bits"])
 def test_table_fixture_that_strains_the_parser_is_one_error_line(tmp_path: Path, line, message):
     # the decoder raises RecursionError past the recursion limit, the order
     # of a long shape would not fit in the message, and neither would the
@@ -349,8 +382,8 @@ def test_table_row_recomputed_by_a_stand_in_cas(tmp_path: Path, capsys, sextic, 
 def test_table_row_of_long_shapes_prints_short_lines(tmp_path: Path):
     # a consistent row (3^3999 = (1/3) * (3^2000)^2) of 2 000 and 3 999 cyclic
     # factors: each message names a shape past 100 characters by its cut
-    # orders, and an integer past 39 digits by its size; the trace still
-    # prints the supplied h_gamma3, all 955 digits of it
+    # orders, and an integer past 39 digits by its size, the supplied
+    # h_gamma3 in the trace too
     row = tmp_path / "row.jsonl"
     row.write_text(json.dumps(
         {"p": 199, "h_gamma3": 3**2000, "h_k3": 3**3999, "u": 1, "c_gamma": [3] * 2000, "c_k": [3] * 3999}
@@ -367,7 +400,9 @@ def test_table_row_of_long_shapes_prints_short_lines(tmp_path: Path):
     fail, summary = proc.stdout.splitlines()
     assert (proc.returncode, proc.stderr, summary) == (2, "", "0/1 rows certified as type (9, 3)")
     assert fail.startswith(f"FAIL  p = 199: expected certified {cut}, got no certified shape (excluded)")
-    assert len(fail) < 1_500 and "Z/3 x Z/3" not in fail, fail[:300]
+    assert len(fail) < 500 and "Z/3 x Z/3" not in fail, fail[:300]
+    assert fail.endswith(" | supplied h_gamma3 = a 3170-bit integer: type (9, 3) requires the"
+                         " cubic 3-class group Z/9, impossible here"), fail[-300:]
     # a stand-in gp whose 2 000 and 4 000 factors Z/3 give u = 3
     stand_in = tmp_path / "gp.py"
     stand_in.write_text(
@@ -579,7 +614,11 @@ def _argv(draw) -> list[str]:
     argv = [command] + draw(st.lists(_WORD, min_size=1, max_size=2))
     if command == "classify":
         if draw(st.booleans()):
-            argv += ["--h3", str(draw(st.sampled_from([1, 2, 3, 9, 27])))]
+            # powers of 3 up to 4 000 digits: past 7 000 bits classify refuses them
+            h3 = st.one_of(
+                st.sampled_from([-3, 0, 1, 2, 3, 6, 9, 27]), st.integers(0, 8380).map(lambda e: 3**e)
+            )
+            argv += ["--h3", str(draw(h3))]
         if draw(st.booleans()):
             argv += ["--u", str(draw(st.sampled_from([1, 3])))]
     return argv
@@ -595,4 +634,12 @@ def test_any_argv_ends_in_a_documented_exit_code(argv):
         except SystemExit as exc:
             code = exc.code
     # none of these commands reads data, so exit 2 can only be a broken invariant
-    assert code in (0, 1), (argv, err.getvalue())
+    stderr = err.getvalue()
+    assert code in (0, 1), (argv, stderr)
+    if code == 1:
+        # nothing of a verdict on stdout, and one error line: main's own, or
+        # argparse's after its usage lines; never CPython's int-limit text
+        assert out.getvalue() == "" and "Exceeds the limit" not in stderr, (argv, stderr)
+        assert stderr.count("error: ") == 1, (argv, stderr)
+        by_main = stderr.startswith("error: ") and stderr.count("\n") == 1
+        assert by_main or stderr.startswith("usage: "), (argv, stderr)

@@ -19,6 +19,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import cubic93.fixtures
+from cubic93._intmath import _PRINT_BITS
 from cubic93.classifier import ClassGroupShape, hk_from_hgamma
 from cubic93.fixtures import (
     CasError,
@@ -384,6 +385,7 @@ def gp_outputs(draw) -> str:
 @given(gp_outputs())
 @example("CUBIC [" + ", ".join(["3"] * 10_000) + "]\nSEXTIC [9, 3]\n")
 @example("CUBIC [" + ", ".join(["3"] * 200_000) + "]\nSEXTIC [9, 3]\n")
+@example(f"CUBIC [{3**2000}]\nSEXTIC [9, 3]\n")  # h_gamma3 of 955 digits, no unit index
 def test_any_gp_output_is_a_row_or_one_cas_error(stdout):
     def gp(argv, **kwargs):
         return subprocess.CompletedProcess(argv, 0, stdout=stdout, stderr="")
@@ -393,8 +395,12 @@ def test_any_gp_output_is_a_row_or_one_cas_error(stdout):
         patch.setattr(cubic93.fixtures.subprocess, "run", gp)
         try:
             row = cas_query(199, ("gp",))
-        except CasError:
-            pass
+        except CasError as exc:
+            # one short line, and a class number it names by its size fits in
+            # _PRINT_BITS: a longer shape is refused before it is multiplied out
+            message = str(exc)
+            assert len(message) <= 400 and "Exceeds the limit" not in message, message[:400]
+            assert all(int(n) <= _PRINT_BITS for n in re.findall(r"a (\d+)-bit integer", message))
         else:
             assert row.p == 199 and row.u in (1, 3)
     assert time.perf_counter() - start < 2
