@@ -31,7 +31,7 @@ from enum import Enum
 from typing import NamedTuple
 
 from ._intmath import _PRINT_BITS, _shown, is_prime, three_part
-from .eisenstein import CubicCharacterValue, _cubic_symbol
+from .eisenstein import CubicCharacterValue, _split_pair
 from .radicand import GerthForm, _cube_free_forms, gerth_decompose, normalize
 from .ramification import QStar, _ambiguous_rank
 
@@ -114,7 +114,7 @@ def type93_equivalence(
     the trace.  A unit index other than 1 or 3 raises ValueError either way.
     """
     if u is not None and u not in (1, 3):
-        raise ValueError(f"unit index must be 1 or 3, got {u}")
+        raise ValueError(f"unit index must be 1 or 3, got {_shown(u)}")
     if direction == "forward":
         if c_k is None:
             raise ValueError("forward direction needs the sextic shape c_k")
@@ -412,6 +412,20 @@ def _candidate_forms(n: int) -> Iterator[GerthForm]:
             yield GerthForm(d, 0, ((p, 2),), (), (), ())
 
 
+#: (3/p)_3 = w^(2b/3) at the primary prime a + b*w above p (Ireland & Rosen,
+#: ch. 9): by b/3 mod 3, the symbol, the shape that the conjecture predicts,
+#: and the text after "(3/p)_3 = " in the trace line and in the reason
+_SYMBOL_OF_THREE = tuple(
+    (symbol, shape, f"{symbol.value}{'' if symbol is CubicCharacterValue.ONE else ' != 1'}, and for"
+     f" p = 4 or 7 (mod 9) the conjectural classification then gives C_k3 = {shape}, not (9, 3)",
+     f"{symbol.value}: predicted shape {shape}")
+    for symbol, shape in (
+        (CubicCharacterValue.ONE, _ELEMENTARY_3_3),
+        (CubicCharacterValue.OMEGA_SQUARED, _CYCLIC_3),
+        (CubicCharacterValue.OMEGA, _CYCLIC_3),
+    )
+)
+
 #: a Verdict from all 16 fields by position: _make checks their number and
 #: skips the keyword binding of the generated __new__, 0.4-0.8 us a verdict
 _make_verdict = Verdict._make
@@ -438,18 +452,12 @@ def _necessary_form(g: GerthForm) -> Verdict:
     if named:  # p is the one split prime; only SPLIT_INERT_RANK names q = 8 (mod 9)
         line = line.format(factors=factors, p=(c1 or c47)[0][0], q=c8[0][0] if c8 else None)
     elif code is ReasonCode.CUBIC_SYMBOL_CONJECTURE:
-        # the symbol only explains the outcome and names the predicted shape; p is proven prime
-        p = (c1 or c47)[0][0]
-        symbol = _cubic_symbol(3, p)
-        one = symbol is CubicCharacterValue.ONE
-        predicted = _ELEMENTARY_3_3 if one else _CYCLIC_3
-        line = (
-            f"(3/{p})_3 = {symbol.value}{'' if one else ' != 1'}, and for"
-            " p = 4 or 7 (mod 9) the conjectural classification then gives"
-            f" C_k3 = {predicted}, not (9, 3)"
-        )
-        detail = f"(3/{p})_3 = {symbol.value}: predicted shape {predicted}"
-        reasons = (Reason(code, detail, conjectural=True),)
+        # the symbol only explains the outcome and names the predicted shape;
+        # p, the one split prime, is proven prime
+        p = c47[0][0]
+        symbol, predicted, tail, detail = _SYMBOL_OF_THREE[_split_pair(p)[1] // 3 % 3]
+        line = f"(3/{p})_3 = {tail}"
+        reasons = (Reason(code, f"(3/{p})_3 = {detail}", True),)
     return _make_verdict((
         d, canonical, form, status, reasons, (f"d = {d} = {factors}", counts, line),
         g, t, q_star, sigma_rank, None, None, None, None, predicted, symbol,
@@ -471,7 +479,7 @@ def classify(d: int, h_gamma3: int | None = None, u: int | None = None) -> Verdi
     if h_gamma3 is not None and three_part(h_gamma3) != h_gamma3:
         raise ValueError(f"h_gamma3 must be a power of 3, got {_shown(h_gamma3)}")
     if u is not None and u not in (1, 3):
-        raise ValueError(f"unit index must be 1 or 3, got {u}")
+        raise ValueError(f"unit index must be 1 or 3, got {_shown(u)}")
 
     form = normalize(d)
     v = _necessary_form(form)

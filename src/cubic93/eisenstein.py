@@ -361,11 +361,6 @@ def rational_cubic_symbol(a: int, p: int) -> CubicCharacterValue:
         raise ValueError(f"need a rational prime p = 1 (mod 3), got {p}")
     if a % p == 0:
         raise ValueError(f"{p} divides {a}; the symbol is 0 there")
-    return _cubic_symbol(a, p)
-
-
-def _cubic_symbol(a: int, p: int) -> CubicCharacterValue:
-    """rational_cubic_symbol(a, p) for a p = 1 (mod 3) already proven prime, not dividing a."""
     return _split_character(a, p, _omega_residue(*_split_pair(p), p))
 
 

@@ -171,10 +171,14 @@ def _script(d: int) -> str:
 
 def _tagged_shape(output: str, tag: str) -> ClassGroupShape:
     """The 3-group shape of the invariants on gp's tag line; its order is the 3-class number."""
+    digits = len(str(1 << _PRINT_BITS))  # a token of more digits has more bits
     for line in output.splitlines():
         if (line := line.strip()).startswith(tag):
-            invariants = map(int, re.findall(r"-?\d+", line[len(tag) :]))
-            parts = sorted((g for g in map(three_part, invariants) if g > 1), reverse=True)
+            tokens = re.findall(r"-?\d+", line[len(tag) :])
+            # refused before int(), which stops at 4 300 digits with CPython's own message
+            if (n := max((len(t.lstrip("-")) for t in tokens), default=0)) > digits:
+                raise ValueError(f"{tag} lists an invariant of {n} digits: too large")
+            parts = sorted((g for g in map(three_part, map(int, tokens)) if g > 1), reverse=True)
             # refused before it is multiplied out: by Landau's bound no field of a
             # d below 3.3e24 has a class number anywhere near 2^_PRINT_BITS
             if (bits := sum(g.bit_length() for g in parts)) > _PRINT_BITS:

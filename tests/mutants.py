@@ -49,6 +49,10 @@ _LONG_SHAPES = "tests/test_cli.py::test_table_row_of_long_shapes_prints_short_li
 _NO_RHO = "tests/test_intmath.py::test_composites_below_1e8_split_without_rho"
 _HUGE_H3 = "tests/test_cli.py::test_classify_refuses_an_h_gamma3_past_7000_bits_before_any_output"
 _NAMED_H = "tests/test_cli.py::test_classify_names_a_class_number_past_39_digits_by_its_size"
+_SYMBOL_ORACLE = (
+    "tests/test_classifier.py::test_the_elimination_reads_the_symbol_of_three_the_public_symbol_computes"
+)
+_GP_OUTPUT = "tests/test_data_bridge.py::test_any_gp_output_is_a_row_or_one_cas_error"
 
 MUTANTS = (
     # the prime table's builder
@@ -117,7 +121,12 @@ MUTANTS = (
     Mutant(
         "CAS message names its class numbers in full", "cubic93/fixtures.py",
         "h_gamma3 = {_shown(h_gamma3)},", "h_gamma3 = {h_gamma3},",
-        ("tests/test_data_bridge.py::test_any_gp_output_is_a_row_or_one_cas_error",),
+        (_GP_OUTPUT,),
+    ),
+    Mutant(
+        "a gp token of any length handed to int()", "cubic93/fixtures.py",
+        "default=0)) > digits:", "default=0)) > 10**6:",
+        (_GP_OUTPUT,),
     ),
     Mutant(
         "a fixture h_gamma3 past 7000 bits taken", "cubic93/fixtures.py",
@@ -177,6 +186,11 @@ MUTANTS = (
         (f"{_NAMED_H}[excluded]",),
     ),
     Mutant(
+        "a unit index refused by classify printed in full", "cubic93/classifier.py",
+        'got {_shown(u)}")\n\n    form = normalize(d)', 'got {u}")\n\n    form = normalize(d)',
+        ("tests/test_classifier.py::test_a_unit_index_past_4300_digits_is_named_by_its_size[classify]",),
+    ),
+    Mutant(
         "inputs line prints the class numbers in full", "cubic93/cli.py",
         "(n if n is None else _shown(n) for n in", "(n for n in",
         (f"{_NAMED_H}[candidate]", "tests/test_cli.py::test_classify_prints_the_largest_h_gamma3_it_takes[1]"),
@@ -225,6 +239,17 @@ MUTANTS = (
             "tests/test_eisenstein.py::test_symbol_of_three_follows_the_supplementary_laws",
             "tests/test_eisenstein.py::test_symbol_agrees_with_character_at_prime_above_p",
         ),
+    ),
+    Mutant(
+        "the elimination's table swaps (3/p)_3 = w and w^2", "cubic93/classifier.py",
+        "(CubicCharacterValue.OMEGA_SQUARED, _CYCLIC_3),\n        (CubicCharacterValue.OMEGA, _CYCLIC_3),",
+        "(CubicCharacterValue.OMEGA, _CYCLIC_3),\n        (CubicCharacterValue.OMEGA_SQUARED, _CYCLIC_3),",
+        (_SYMBOL_ORACLE,),
+    ),
+    Mutant(
+        "the elimination indexes its table by b mod 3, not b/3 mod 3", "cubic93/classifier.py",
+        "_split_pair(p)[1] // 3 % 3]", "_split_pair(p)[1] % 3]",
+        (_SYMBOL_ORACLE,),
     ),
     # Eisenstein integers
     Mutant(

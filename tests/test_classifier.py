@@ -8,6 +8,7 @@ import hashlib
 import itertools
 import json
 import operator
+import random
 import re
 import sys
 import threading
@@ -110,6 +111,22 @@ def test_equivalence_rejects_bad_inputs():
             type93_equivalence(
                 "forward", c_k=ClassGroupShape.of(9, 3), c_gamma=c_gamma, u=2
             )
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda u: classify(199, 9, u),
+        lambda u: type93_equivalence("forward", c_k=ClassGroupShape.of(9, 3), u=u),
+        lambda u: type93_equivalence("backward", c_gamma=ClassGroupShape.of(9), u=u),
+    ],
+    ids=["classify", "forward", "backward"],
+)
+def test_a_unit_index_past_4300_digits_is_named_by_its_size(call):
+    # str() of 10^5000 raises CPython's int-limit error, which would replace the message
+    with pytest.raises(ValueError) as info:
+        call(10**5000)
+    assert str(info.value) == "unit index must be 1 or 3, got a 16610-bit integer"
 
 
 def test_class_group_shape_validation():
@@ -249,11 +266,11 @@ def test_reason_consistency_invariants():
 
 def test_decision_is_a_function_of_the_mod9_counts(monkeypatch):
     # _decision must not need a prime: the P_47MOD9 symbol only explains its outcome
-    def no_symbol(a: int, p: int) -> None:
+    def no_symbol(p: int) -> None:
         raise AssertionError(f"_decision evaluated a cubic residue symbol at p = {p}")
 
     verdicts = scan(20_000)
-    monkeypatch.setattr(cubic93.classifier, "_cubic_symbol", no_symbol)
+    monkeypatch.setattr(cubic93.classifier, "_split_pair", no_symbol)
     by_signature: dict[tuple, set] = {}
     for v in verdicts:
         g = v.decomposition
@@ -786,6 +803,26 @@ def test_classify_proves_its_symbol_prime_once(monkeypatch):
     assert v.reasons[0].code is ReasonCode.CUBIC_SYMBOL_CONJECTURE
     assert v.symbol_three is rational_cubic_symbol(3, 1048633)
     assert calls == [1048633, 1048633]  # one for classify, one for the public symbol
+
+
+def test_the_elimination_reads_the_symbol_of_three_the_public_symbol_computes():
+    # the elimination reads (3/p)_3 = w^(2b/3) off the prime a + b*w above p;
+    # rational_cubic_symbol takes 3^((p - 1)/3) at the image of w, and Euler's
+    # criterion says whether 3 is a cube: every p = 4, 7 (mod 9) below 2e5 and
+    # 2 000 seeded ones that factorize proves by Miller-Rabin
+    rng, drawn = random.Random(93), []
+    while len(drawn) < 2000:
+        p = rng.randrange(1 << 20, 10**8)
+        if p % 9 in (4, 7) and cubic93._intmath.is_prime(p):
+            drawn.append(p)
+    seen = set()
+    for p in [p for p in primes_below(200_000) if p % 9 in (4, 7)] + drawn:
+        v = classify(p)
+        assert v.reasons[0].code is ReasonCode.CUBIC_SYMBOL_CONJECTURE, p
+        assert v.symbol_three is rational_cubic_symbol(3, p), p
+        assert (v.symbol_three is CubicCharacterValue.ONE) == (pow(3, (p - 1) // 3, p) == 1), p
+        seen.add(v.symbol_three)
+    assert len(seen) == 3
 
 
 def test_rank_from_counts_matches_the_ramify_report():

@@ -177,6 +177,12 @@ JSON_VALUES = st.recursive(
 LONG_LISTS = st.tuples(
     st.sampled_from([3, 9, 27, 1, 0, -3, 6, True, 1.5, None]), st.integers(0, 10**5)
 ).map(lambda entry_count: [entry_count[0]] * entry_count[1])
+# tokens of 4 001 to 6 000 digits, past the 4 300 digits at which CPython's
+# int() and str() stop, so they are built as text
+LONG_TOKENS = st.builds(
+    lambda sign, head, n: sign + (head * n)[:n],
+    st.sampled_from(["", "-"]), st.integers(1, 10**30).map(str), st.integers(4_001, 6_000),
+)
 VALID_ROW = {"p": 199, "h_gamma3": 9, "h_k3": 27, "u": 1, "c_gamma": [9], "c_k": [9, 3]}
 
 
@@ -376,7 +382,8 @@ def gp_outputs(draw) -> str:
     short, around any text."""
     lines = draw(st.lists(st.text(max_size=8), max_size=2))
     for tag in draw(st.lists(st.sampled_from(["CUBIC", "SEXTIC", "CUBIC ", "SEXTIC:"]), max_size=3)):
-        invariants = draw(st.one_of(st.lists(INTEGERS, max_size=6), LONG_LISTS))
+        tokens = st.lists(st.one_of(INTEGERS.map(str), LONG_TOKENS), max_size=6)
+        invariants = draw(st.one_of(tokens.map(lambda xs: f"[{', '.join(xs)}]"), LONG_LISTS))
         lines.insert(draw(st.integers(0, len(lines))), f"{tag} {invariants}")
     return "\n".join(lines) + "\n"
 
@@ -386,6 +393,7 @@ def gp_outputs(draw) -> str:
 @example("CUBIC [" + ", ".join(["3"] * 10_000) + "]\nSEXTIC [9, 3]\n")
 @example("CUBIC [" + ", ".join(["3"] * 200_000) + "]\nSEXTIC [9, 3]\n")
 @example(f"CUBIC [{3**2000}]\nSEXTIC [9, 3]\n")  # h_gamma3 of 955 digits, no unit index
+@example(f"CUBIC [{'3' * 5_000}]\nSEXTIC [9, 3]\n")  # past int()'s 4 300 digits
 def test_any_gp_output_is_a_row_or_one_cas_error(stdout):
     def gp(argv, **kwargs):
         return subprocess.CompletedProcess(argv, 0, stdout=stdout, stderr="")
