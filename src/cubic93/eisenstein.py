@@ -25,7 +25,7 @@ from functools import lru_cache
 from math import isqrt
 from typing import NamedTuple, Union
 
-from ._intmath import factorize, is_prime as _is_rational_prime
+from ._intmath import _shown, factorize, is_prime as _is_rational_prime
 
 _Operand = Union["EisensteinInt", int]
 
@@ -251,7 +251,7 @@ def factor_rational_prime(p: int) -> PrimeSplitting:
     p = 2 (mod 3) -> INERT; p = 3 -> RAMIFIED with factor lam = 1 - w.
     """
     if not _is_rational_prime(p):
-        raise ValueError(f"{p} is not a rational prime")
+        raise ValueError(f"{_shown(p)} is not a rational prime")
     if p == 3:
         return PrimeSplitting(3, SplitKind.RAMIFIED, (LAMBDA,))
     if p % 3 == 2:
@@ -358,9 +358,9 @@ def rational_cubic_symbol(a: int, p: int) -> CubicCharacterValue:
     carries no information, so such p are rejected.
     """
     if not _is_rational_prime(p) or p % 3 != 1:
-        raise ValueError(f"need a rational prime p = 1 (mod 3), got {p}")
+        raise ValueError(f"need a rational prime p = 1 (mod 3), got {_shown(p)}")
     if a % p == 0:
-        raise ValueError(f"{p} divides {a}; the symbol is 0 there")
+        raise ValueError(f"{p} divides {_shown(a)}; the symbol is 0 there")
     return _split_character(a, p, _omega_residue(*_split_pair(p), p))
 
 

@@ -37,7 +37,7 @@ from pathlib import Path
 from typing import NamedTuple
 
 from ._intmath import _PRINT_BITS, _shown, is_prime, three_part
-from .classifier import ClassGroupShape, Verdict, VerdictStatus, classify, hk_from_hgamma
+from .classifier import ClassGroupShape, Verdict, VerdictStatus, _named, classify, hk_from_hgamma
 
 _BUNDLED = "data/type93_fixtures.jsonl"
 #: seconds one CAS call may run before it counts as failed
@@ -62,13 +62,6 @@ def _integer(value: object, name: str) -> int:
     if type(value) is not int:
         raise ValueError(f"{name} must be an integer, got {reprlib.repr(value)}")
     return value
-
-
-def _named(value: int | ClassGroupShape) -> str:
-    """A row value in a short phrase: an int by _shown, a shape past 100 characters by its orders."""
-    if isinstance(value, int):
-        return _shown(value)
-    return text if len(text := str(value)) <= 100 else f"orders {reprlib.repr(value.orders)}"
 
 
 def _parse_row(line: str) -> FixtureRow:

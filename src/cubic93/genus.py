@@ -23,7 +23,7 @@ from __future__ import annotations
 from functools import lru_cache
 from typing import NamedTuple
 
-from ._intmath import factorize, is_prime
+from ._intmath import _shown, factorize, is_prime
 from .eisenstein import factor_rational_prime
 from .radicand import GerthForm, gerth_decompose
 
@@ -49,7 +49,7 @@ def period_polynomial(p: int) -> Cubic:
     descending: (1, c2, c1, c0).
     """
     if p % 3 != 1:
-        raise ValueError(f"need a prime p = 1 (mod 3), got {p}")
+        raise ValueError(f"need a prime p = 1 (mod 3), got {_shown(p)}")
     # factor_rational_prime proves p prime, or raises ValueError;
     # pi = a + b*w is primary (a = 2, b = 0 mod 3) of norm p, and
     # 4p = (2a - b)^2 + 3b^2, so L = 2a - b and M = b/3 (Ireland & Rosen, ch. 9)

@@ -17,23 +17,20 @@ shape introduced by Gerth for 3-class groups of pure cubic fields.
 `normalize` factors one radicand: it strips cube factors and returns the
 `GerthForm` of what is left, from which a, b, the conjugate radicand and the
 canonical key are all read off.  `_cube_free_forms` gives the same forms for
-a whole range at once, from a block sieve, and factors nothing.
+a whole range at once, from one sieve, and factors nothing.
 """
 
 from __future__ import annotations
 
-from collections.abc import Iterator
 from itertools import compress, repeat
 from math import isqrt
 from typing import NamedTuple
 
-from ._intmath import factorize, is_prime
+from ._intmath import _shown, factorize, is_prime
 
 #: the largest bound _cube_free_count accepts: `cubic93 scan --max 10^8`
 #: took 18.4-25.0 s (three runs, CPython 3.11, 2-vCPU Xeon)
 _SCAN_LIMIT = 10**8
-#: radicands per block of the sieve in _cube_free_forms; a block is all it holds
-_BLOCK = 1 << 16
 #: index of each prime's residue class mod 9 in the four GerthForm classes
 _CLASS_OF = {1: 0, 4: 1, 7: 1, 8: 2, 2: 3, 5: 3}
 
@@ -116,7 +113,7 @@ def normalize(n: int) -> GerthForm:
     cubic field).  Something was stripped exactly when the result's d != n.
     """
     if n <= 1:
-        raise ValueError(f"radicand must be an integer >= 2, got {n}")
+        raise ValueError(f"radicand must be an integer >= 2, got {_shown(n)}")
     fac = factorize(n)
     e3 = fac.pop(3, 0) % 3
     d = 3**e3
@@ -129,7 +126,7 @@ def normalize(n: int) -> GerthForm:
         # p % 9 is never 0, 3 or 6 for a prime p != 3
         classes[_CLASS_OF[p % 9]].append((p, e))
     if d == 1:
-        raise ValueError(f"{n} is a perfect cube; its cube root is rational")
+        raise ValueError(f"{_shown(n)} is a perfect cube; its cube root is rational")
     return GerthForm(d, e3, *map(tuple, classes))
 
 
@@ -137,23 +134,61 @@ def gerth_decompose(d: int) -> GerthForm:
     """Decompose a cube-free d >= 2 into the mod-9 residue classes."""
     form = normalize(d)
     if form.d != d:
-        raise ValueError(f"{d} is not cube-free")
+        raise ValueError(f"{_shown(d)} is not cube-free")
     return form
 
 
-def _cube_free_forms(limit: int) -> Iterator[GerthForm]:
+def _cube_free_forms(limit: int) -> list[GerthForm]:
     """normalize(d) for every cube-free 2 <= d <= limit, in ascending order.
 
-    A segmented sieve (Bays and Hudson, BIT 17, 1977) over blocks of _BLOCK
-    radicands, so that one block is all it holds; nothing is factored.
-    Raises ValueError on the first step for a limit below 2.
+    One sieve (Bays and Hudson, BIT 17, 1977) over columns indexed by d;
+    nothing is factored.  Each prime up to max(isqrt(limit), 3) is divided
+    out of its multiples and, except 3, appended to their class, as (p, 2)
+    at a multiple of p^2; 3 only sets e.  A multiple of p^3 is dropped.
+    What is left of a radicand is then 1 or one prime above isqrt(limit),
+    the largest, with exponent 1.  The forms are then built in one C-level
+    pass: the columns d, e and the four classes are zipped, the cube-free
+    rows picked by compress, and each row made a GerthForm by tuple.__new__,
+    with no Python step per radicand.  A list, not a generator, so that the
+    columns are freed before a caller builds on the forms.
     """
     if limit < 2:
-        raise ValueError(f"scan bound must be >= 2, got {limit}")
+        raise ValueError(f"scan bound must be >= 2, got {_shown(limit)}")
+    n = limit + 1
+    rest = list(range(n))
+    cube_free = bytearray(2) + b"\x01" * (n - 2)  # 0 and 1 are no radicands
+    e3 = bytearray(n)
+    classes = [[()] * n for _ in range(4)]
     # 3 counts in e and in no class, so it is sieved out even when above isqrt
-    primes = [p for p in range(2, max(isqrt(limit), 3) + 1) if is_prime(p)]
-    for lo in range(2, limit + 1, _BLOCK):
-        yield from _block_forms(lo, min(lo + _BLOCK, limit + 1), primes)
+    for p in filter(is_prime, range(2, max(isqrt(limit), 3) + 1)):
+        p2, p3 = p * p, p * p * p
+        cube_free[p3::p3] = bytes(len(range(p3, n, p3)))
+        if p == 3:
+            e3[3::3] = b"\x01" * len(range(3, n, 3))
+            e3[9::9] = b"\x02" * len(range(9, n, 9))
+            for d in range(3, n, 3):
+                rest[d] //= 3
+            for d in range(9, n, 9):
+                rest[d] //= 3
+            continue
+        fac = classes[_CLASS_OF[p % 9]]
+        once, twice = ((p, 1),), ((p, 2),)
+        for d in range(p, n, p):
+            rest[d] //= p
+            fac[d] += once
+        for d in range(p2, n, p2):
+            rest[d] //= p
+            fac[d] = fac[d][:-1] + twice
+    for d in compress(range(n), cube_free):
+        q = rest[d]
+        if q > 1:
+            classes[_CLASS_OF[q % 9]][d] += ((q, 1),)
+    del rest  # first, so that the forms take its memory
+    # tuple.__new__ skips GerthForm.__new__, and with it the check that each
+    # row has six fields: tests/test_radicand.py checks class and length
+    return list(map(
+        tuple.__new__, repeat(GerthForm), compress(zip(range(n), e3, *classes), cube_free),
+    ))
 
 
 def _cube_free_count(limit: int) -> int:
@@ -161,10 +196,10 @@ def _cube_free_count(limit: int) -> int:
     cube-free in exactly one way, so by Moebius inversion the cube-free m <=
     limit number sum(mu(k) * (limit // k^3)).  ValueError outside [2, _SCAN_LIMIT]."""
     if limit < 2:
-        raise ValueError(f"scan bound must be >= 2, got {limit}")
+        raise ValueError(f"scan bound must be >= 2, got {_shown(limit)}")
     if limit > _SCAN_LIMIT:
         raise ValueError(
-            f"scan bound must be <= 10^8 = {_SCAN_LIMIT}, got {limit}: beyond it"
+            f"scan bound must be <= 10^8 = {_SCAN_LIMIT}, got {_shown(limit)}: beyond it"
             " a scan would run for hours"
         )
     total, k = -1, 1  # m = 1 is no radicand
@@ -173,52 +208,3 @@ def _cube_free_count(limit: int) -> int:
             total += (-1) ** len(fac) * (limit // k**3)
         k += 1
     return total
-
-
-def _block_forms(lo: int, hi: int, primes: list[int]) -> Iterator[GerthForm]:
-    """normalize(d) for every cube-free lo <= d < hi, given 2 <= lo and every
-    prime up to max(isqrt(hi - 1), 3) in ascending order.
-
-    Each prime is divided out of its multiples and, except 3, appended to
-    their class, as (p, 2) at a multiple of p^2; 3 only sets e.  A multiple
-    of p^3 is dropped.  What is left of a radicand is then 1 or one prime
-    above isqrt(hi - 1), the largest, with exponent 1.  The block's forms
-    are then built in one C-level pass: the columns d, e and the four
-    classes are zipped, the cube-free rows picked by compress, and each row
-    made a GerthForm by tuple.__new__, with no Python step per radicand.
-    """
-    n = hi - lo
-    rest = list(range(lo, hi))
-    cube_free = bytearray(b"\x01") * n
-    e3 = bytearray(n)
-    classes = [[()] * n for _ in range(4)]
-    for p in primes:
-        p2, p3 = p * p, p * p * p
-        i1, i2, i3 = -lo % p, -lo % p2, -lo % p3
-        cube_free[i3::p3] = bytes(len(range(i3, n, p3)))
-        if p == 3:  # 3 counts in e and in no class
-            e3[i1::3] = b"\x01" * len(range(i1, n, 3))
-            e3[i2::9] = b"\x02" * len(range(i2, n, 9))
-            for i in range(i1, n, 3):
-                rest[i] //= 3
-            for i in range(i2, n, 9):
-                rest[i] //= 3
-            continue
-        fac = classes[_CLASS_OF[p % 9]]
-        once, twice = ((p, 1),), ((p, 2),)
-        for i in range(i1, n, p):
-            rest[i] //= p
-            fac[i] += once
-        for i in range(i2, n, p2):
-            rest[i] //= p
-            fac[i] = fac[i][:-1] + twice
-    for i in compress(range(n), cube_free):
-        q = rest[i]
-        if q > 1:
-            classes[_CLASS_OF[q % 9]][i] += ((q, 1),)
-    # tuple.__new__ skips GerthForm.__new__, and with it the check that each
-    # row has six fields: tests/test_radicand.py checks class and length
-    yield from map(
-        tuple.__new__, repeat(GerthForm),
-        compress(zip(range(lo, hi), e3, *classes), cube_free),
-    )

@@ -53,6 +53,8 @@ _SYMBOL_ORACLE = (
     "tests/test_classifier.py::test_the_elimination_reads_the_symbol_of_three_the_public_symbol_computes"
 )
 _GP_OUTPUT = "tests/test_data_bridge.py::test_any_gp_output_is_a_row_or_one_cas_error"
+_FORMS = "tests/test_radicand.py::test_sieve_matches_normalize"
+_PAST_4300 = "tests/test_classifier.py::test_an_argument_past_4300_digits_is_named_by_its_size"
 
 MUTANTS = (
     # the prime table's builder
@@ -155,9 +157,12 @@ MUTANTS = (
         (f"{_STRAINS}[p-a-list-of-100000]",),
     ),
     Mutant(
-        "a long shape printed in full", "cubic93/fixtures.py",
+        "a long shape printed in full", "cubic93/classifier.py",
         "if len(text := str(value)) <= 100 else", "if len(text := str(value)) <= 10**9 else",
-        (f"{_STRAINS}[c_k-of-12000-for-3818-digits]", _LONG_SHAPES),
+        (
+            f"{_STRAINS}[c_k-of-12000-for-3818-digits]", _LONG_SHAPES,
+            "tests/test_classifier.py::test_equivalence_names_a_shape_past_100_characters_by_its_orders",
+        ),
     ),
     Mutant(
         "expected shape of a failed row printed in full", "cubic93/fixtures.py",
@@ -189,6 +194,16 @@ MUTANTS = (
         "a unit index refused by classify printed in full", "cubic93/classifier.py",
         'got {_shown(u)}")\n\n    form = normalize(d)', 'got {u}")\n\n    form = normalize(d)',
         ("tests/test_classifier.py::test_a_unit_index_past_4300_digits_is_named_by_its_size[classify]",),
+    ),
+    Mutant(
+        "the equivalence prints a long supplied shape in full", "cubic93/classifier.py",
+        "supplied cubic shape {_named(c_gamma)} contradicts", "supplied cubic shape {c_gamma} contradicts",
+        ("tests/test_classifier.py::test_equivalence_names_a_shape_past_100_characters_by_its_orders",),
+    ),
+    Mutant(
+        "normalize prints a refused radicand in full", "cubic93/radicand.py",
+        "an integer >= 2, got {_shown(n)}", "an integer >= 2, got {n}",
+        (f"{_PAST_4300}[normalize-negative]", f"{_PAST_4300}[classify]"),
     ),
     Mutant(
         "inputs line prints the class numbers in full", "cubic93/cli.py",
@@ -356,6 +371,17 @@ MUTANTS = (
         "squares of p = 17 (mod 18) listed too", "cubic93/classifier.py",
         "* p == d and p % 18 == 1 and is_prime(p)", "* p == d and is_prime(p)",
         (f"{_SCAN_ORACLE}[False-360]", f"{_SCAN_ORACLE}[True-360]"),
+    ),
+    # the sieve of library scan
+    Mutant(
+        "the sieve lists d = 0 and d = 1", "cubic93/radicand.py",
+        'cube_free = bytearray(2) + b"\\x01" * (n - 2)', 'cube_free = bytearray(b"\\x01") * n',
+        (_FORMS,),
+    ),
+    Mutant(
+        "the sieve drops the leftover prime above isqrt(limit)", "cubic93/radicand.py",
+        "        if q > 1:\n", "        if False:\n",
+        (_FORMS, f"{_FORMS}_up_to_the_scan_bound"),
     ),
     Mutant(
         "cube-free count includes m = 1", "cubic93/radicand.py",

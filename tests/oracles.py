@@ -221,8 +221,8 @@ def necessary_form_by_properties(g: GerthForm) -> Verdict:
 
 def scan_output_by_sieve(max_d: int, as_json: bool) -> str:
     """What `cubic93 scan --max max_d [--json]` prints, by deciding every
-    cube-free radicand that the block sieve gives and printing each one that
-    _decision admits.
+    cube-free radicand that the library's sieve gives and printing each one
+    that _decision admits.
 
     The CLI's earlier path: it counts and decides each radicand, where the
     CLI now lists only the admitted shape and counts the rest by Moebius."""

@@ -37,7 +37,8 @@ from cubic93.classifier import (
     type93_equivalence,
 )
 from cubic93.eisenstein import CubicCharacterValue, factor_rational_prime, rational_cubic_symbol
-from cubic93.radicand import GerthForm, _cube_free_forms, normalize
+from cubic93.genus import period_polynomial
+from cubic93.radicand import GerthForm, _cube_free_count, _cube_free_forms, normalize
 from cubic93.ramification import ramify
 from oracles import cube_free_sieve, necessary_form_by_properties, primes_below
 
@@ -127,6 +128,57 @@ def test_a_unit_index_past_4300_digits_is_named_by_its_size(call):
     with pytest.raises(ValueError) as info:
         call(10**5000)
     assert str(info.value) == "unit index must be 1 or 3, got a 16610-bit integer"
+
+
+@pytest.mark.parametrize(
+    "call, n",
+    [
+        (scan, 10**5000),
+        (scan, -10**5000),
+        (normalize, -10**5000),
+        (normalize, 10**5001),  # a perfect cube
+        (classify, -10**5000),
+        (necessary_form, 16 * 10**5000),  # not cube-free
+        (_cube_free_count, 10**5000),
+        (_cube_free_count, -10**5000),
+        (factor_rational_prime, 2 * 10**5000),
+        (functools.partial(rational_cubic_symbol, 3), 2 * 10**5000),
+        (lambda a: rational_cubic_symbol(a, 7), 7 * 10**5000),  # 7 divides it
+        (period_polynomial, 2 * 10**5000 + 2),
+    ],
+    ids=[
+        "scan", "scan-negative", "normalize-negative", "normalize-cube", "classify",
+        "necessary_form", "cube_free_count", "cube_free_count-negative",
+        "factor_rational_prime", "rational_cubic_symbol-modulus", "rational_cubic_symbol-multiple",
+        "period_polynomial",
+    ],
+)
+def test_an_argument_past_4300_digits_is_named_by_its_size(call, n):
+    # str() of such an integer raises CPython's int-limit error, which would replace the message
+    with pytest.raises(ValueError) as info:
+        call(n)
+    message = str(info.value)
+    assert "Exceeds the limit" not in message and len(message) < 200
+    assert f"a {n.bit_length()}-bit integer" in message
+
+
+def test_equivalence_names_a_shape_past_100_characters_by_its_orders():
+    cut = "orders (3, 3, 3, 3, 3, 3, ...)"
+    # 17 factors print in 99 characters, 18 in 105; 10 000 printed lines of 60 000 and more
+    for n, named in ((17, " x ".join(["Z/3"] * 17)), (18, cut), (10_000, cut)):
+        shape = ClassGroupShape((3,) * n)
+        traces = [
+            type93_equivalence("forward", c_k=ClassGroupShape.of(9, 3), c_gamma=shape).trace,
+            type93_equivalence("backward", c_gamma=shape, u=1).trace,
+            type93_equivalence("forward", c_k=shape).trace,
+        ]
+        assert [t[-1] for t in traces] == [
+            f"supplied cubic shape {named} contradicts Z/9",
+            f"(c_gamma, u) = ({named}, 1) does not satisfy (Z/9, 1), so the sextic"
+            " 3-class group is not of type (9, 3)",
+            f"the equivalence governs type (9, 3) only, not {named}",
+        ]
+        assert max(len(line) for t in traces for line in t) < 200
 
 
 def test_class_group_shape_validation():

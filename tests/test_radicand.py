@@ -10,14 +10,11 @@ import re
 
 import pytest
 
-import cubic93.radicand
-from cubic93._intmath import is_prime
-from cubic93.classifier import necessary_form
+from cubic93.classifier import _SCAN_LIST_LIMIT, necessary_form
 from cubic93.genus import genus_field_description, genus_number
 from cubic93.radicand import (
     _SCAN_LIMIT,
     GerthForm,
-    _block_forms,
     _cube_free_count,
     _cube_free_forms,
     gerth_decompose,
@@ -196,7 +193,7 @@ def test_decompose_exhaustive_against_sieve():
             assert g.e == 0  # d = +-1 (mod 9) forces 3 not to divide d
 
 
-# ---------------------------------------------------------------- block sieve
+# --------------------------------------------------------------------- sieve
 
 
 def assert_built_forms(forms: list[GerthForm]) -> None:
@@ -209,30 +206,22 @@ def assert_built_forms(forms: list[GerthForm]) -> None:
         assert len(g) == 6, g
 
 
-@pytest.mark.parametrize("block", [97, 1000])
-def test_block_sieve_matches_normalize(monkeypatch, block):
-    monkeypatch.setattr(cubic93.radicand, "_BLOCK", block)
-    flags = cube_free_sieve(2001)
-    want = [normalize(d) for d in range(2, 2002) if flags[d]]
-    # blocks start at 2, 2 + block, 2 + 2*block, ...
-    edges = range(2 + block, 2002, block)
-    limits = {2, 7, 8, 26, 27, 28, 2000} | {e + k for e in edges for k in (-1, 0, 1)}
-    for limit in sorted(limits):
-        got = list(_cube_free_forms(limit))
+def test_sieve_matches_normalize():
+    flags = cube_free_sieve(2000)
+    want = [normalize(d) for d in range(2, 2001) if flags[d]]
+    # 8 = 2^3 and 27 = 3^3 are the first cubes, 9 = 3^2 sets e = 2
+    for limit in (2, 7, 8, 9, 26, 27, 28, 1000, 2000):
+        got = _cube_free_forms(limit)
+        assert type(got) is list
         assert got == [g for g in want if g.d <= limit], limit
         assert_built_forms(got)
 
 
-def test_block_sieve_matches_normalize_just_below_the_bound():
-    hi = _SCAN_LIMIT + 1
-    lo = hi - cubic93.radicand._BLOCK
-    primes = [p for p in range(2, 10**4 + 1) if is_prime(p)]
-    want = []
-    for d in range(lo, hi):
-        g = normalize(d)
-        if g.d == d:
-            want.append(g)
-    got = list(_block_forms(lo, hi, primes))
+def test_sieve_matches_normalize_up_to_the_scan_bound():
+    # the highest range that any caller sieves: library scan's bound
+    got = _cube_free_forms(_SCAN_LIST_LIMIT)[-20_000:]
+    flags = cube_free_sieve(_SCAN_LIST_LIMIT)
+    want = [normalize(d) for d in range(got[0].d, _SCAN_LIST_LIMIT + 1) if flags[d]]
     assert got == want
     assert_built_forms(got)
 
