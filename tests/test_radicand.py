@@ -7,9 +7,11 @@ factorization oracle, independent of the library's factorize.
 from __future__ import annotations
 
 import re
+from math import isqrt
 
 import pytest
 
+from cubic93._intmath import is_prime
 from cubic93.classifier import _SCAN_LIST_LIMIT, necessary_form
 from cubic93.genus import genus_field_description, genus_number
 from cubic93.radicand import (
@@ -213,6 +215,21 @@ def test_sieve_matches_normalize():
     for limit in (2, 7, 8, 9, 26, 27, 28, 1000, 2000):
         got = _cube_free_forms(limit)
         assert type(got) is list
+        assert got == [g for g in want if g.d <= limit], limit
+        assert_built_forms(got)
+
+
+@pytest.mark.parametrize("block", [97, 1000])
+def test_block_sieve_matches_normalize(block):
+    """Every limit in 2..block where the sieved primes change: at p^2 - 1
+    the prime p is still the leftover above isqrt(limit), at p^2 it is
+    sieved and p^2 is its first (p, 2)."""
+    flags = cube_free_sieve(block)
+    want = [normalize(d) for d in range(2, block + 1) if flags[d]]
+    squares = [p * p for p in range(2, isqrt(block) + 1) if is_prime(p)]
+    limits = {2, 3, block} | {s + k for s in squares for k in (-1, 0, 1)}
+    for limit in sorted(x for x in limits if 2 <= x <= block):
+        got = _cube_free_forms(limit)
         assert got == [g for g in want if g.d <= limit], limit
         assert_built_forms(got)
 
