@@ -69,9 +69,13 @@ class ClassGroupShape(NamedTuple("ClassGroupShape", [("orders", tuple[int, ...])
 
 
 def _named(value: int | ClassGroupShape) -> str:
-    """A value in a short phrase: an int by _shown, a shape past 100 characters by its orders."""
+    """A value in a short phrase: an int by _shown, a shape past 100 characters by its
+    orders, and one with an order that CPython cannot print by its size."""
     if isinstance(value, int):
         return _shown(value)
+    if (top := max(value.orders, default=1)).bit_length() > _PRINT_BITS:
+        k = len(value.orders)
+        return f"a shape with {k} cyclic factor{'s' * (k > 1)}, the largest of order {_shown(top)}"
     return text if len(text := str(value)) <= 100 else f"orders {reprlib.repr(value.orders)}"
 
 
@@ -79,7 +83,7 @@ TYPE_9_3 = ClassGroupShape.of(9, 3)
 CYCLIC_9 = ClassGroupShape.of(9)
 _CYCLIC_3 = ClassGroupShape.of(3)
 _ELEMENTARY_3_3 = ClassGroupShape.of(3, 3)
-#: the largest max_d of scan: 497 MiB for its 831 909 verdicts, 0.6 KiB each
+#: the largest max_d of scan: 437 MiB for its 831 909 verdicts, 0.54 KiB each
 _SCAN_LIST_LIMIT = 10**6
 
 
@@ -284,20 +288,6 @@ class _Decision(NamedTuple):
     predicted: ClassGroupShape | None
 
 
-def _signature(g: GerthForm) -> tuple[int, ...]:
-    """(v, w, I, J, e, d % 9, p % 9, q % 9), with p and q the first split
-    and inert primes (0 where there is none): all that a verdict's outcome,
-    and the text of one that names no prime, depend on.  A class1mod9 prime
-    is 1 (mod 9) and a class8mod9 prime 8, so only the other two are read."""
-    d, e, c1, c47, c8, c25 = g
-    v, I = len(c1), len(c8)  # noqa: E741
-    return (
-        v, v + len(c47), I, I + len(c25), e, d % 9,
-        1 if c1 else (c47[0][0] % 9 if c47 else 0),
-        8 if c8 else (c25[0][0] % 9 if c25 else 0),
-    )
-
-
 @functools.lru_cache(maxsize=None)
 def _decision(sig: tuple[int, ...]) -> _Decision:
     """Decide and explain a signature once: the first exclusion that applies,
@@ -433,18 +423,20 @@ _SYMBOL_OF_THREE = tuple(
     )
 )
 
-#: a Verdict from all 16 fields by position: _make checks their number and
-#: skips the keyword binding of the generated __new__, 0.4-0.8 us a verdict
-_make_verdict = Verdict._make
-
-
 def _necessary_form(g: GerthForm) -> Verdict:
     # one walk over the factors writes their text and multiplies up b in
     # d = a*b^2, so the canonical radicand needs no second walk (g.canonical)
     d, e, c1, c47, c8, c25 = g
-    code, form, status, t, q_star, sigma_rank, counts, line, named, reasons, predicted = (
-        _decision(_signature(g))
-    )
+    # the key is (v, w, I, J, e, d % 9, p % 9, q % 9), with p and q the first
+    # split and inert primes (0 where there is none): all that an outcome, and
+    # the text of one that names no prime, depend on.  A class1mod9 prime is
+    # 1 (mod 9) and a class8mod9 prime 8, so only the other two are read.
+    v, I = len(c1), len(c8)  # noqa: E741
+    code, form, status, t, q_star, sigma_rank, counts, line, named, reasons, predicted = _decision((
+        v, v + len(c47), I, I + len(c25), e, d % 9,
+        1 if c1 else (c47[0][0] % 9 if c47 else 0),
+        8 if c8 else (c25[0][0] % 9 if c25 else 0),
+    ))
     parts = [f"3^{e}" if e > 1 else "3"] if e else []
     b = 3 if e == 2 else 1
     for p, k in c1 + c47 + c8 + c25:
@@ -465,7 +457,9 @@ def _necessary_form(g: GerthForm) -> Verdict:
         symbol, predicted, tail, detail = _SYMBOL_OF_THREE[_split_pair(p)[1] // 3 % 3]
         line = f"(3/{p})_3 = {tail}"
         reasons = (Reason(code, f"(3/{p})_3 = {detail}", True),)
-    return _make_verdict((
+    # tuple.__new__ skips Verdict.__new__, and with it the check that the row
+    # has all 16 fields: tests/test_classifier.py checks class and length
+    return tuple.__new__(Verdict, (
         d, canonical, form, status, reasons, (f"d = {d} = {factors}", counts, line),
         g, t, q_star, sigma_rank, None, None, None, None, predicted, symbol,
     ))

@@ -343,7 +343,7 @@ def cubic_character(alpha: EisensteinInt, pi: EisensteinInt) -> CubicCharacterVa
         return _split_character(x, n, m) if x else CubicCharacterValue.ZERO
     q = isqrt(n)
     if q * q != n or q % 3 != 2 or pi.a % q or pi.b % q or not _is_rational_prime(q):
-        raise ValueError(f"{pi} is not a prime of Z[w]")
+        raise ValueError(f"a + b*w with (a, b) = ({_shown(pi.a)}, {_shown(pi.b)}) is not a prime of Z[w]")
     if alpha.a % q or alpha.b % q:
         return _inert_character(alpha, q)
     return CubicCharacterValue.ZERO

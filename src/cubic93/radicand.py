@@ -17,7 +17,8 @@ shape introduced by Gerth for 3-class groups of pure cubic fields.
 `normalize` factors one radicand: it strips cube factors and returns the
 `GerthForm` of what is left, from which a, b, the conjugate radicand and the
 canonical key are all read off.  `_cube_free_forms` gives the same forms for
-a whole range at once, from one sieve, and factors nothing.
+a whole range at once: it visits each prime up to the bound once, in
+ascending order, at its multiples, and factors nothing.
 """
 
 from __future__ import annotations
@@ -26,7 +27,7 @@ from itertools import compress, repeat
 from math import isqrt
 from typing import NamedTuple
 
-from ._intmath import _shown, factorize, is_prime
+from ._intmath import _shown, factorize
 
 #: the largest bound _cube_free_count accepts: `cubic93 scan --max 10^8`
 #: took 18.4-25.0 s (three runs, CPython 3.11, 2-vCPU Xeon)
@@ -142,48 +143,42 @@ def _cube_free_forms(limit: int) -> list[GerthForm]:
     """normalize(d) for every cube-free 2 <= d <= limit, in ascending order.
 
     One sieve (Bays and Hudson, BIT 17, 1977) over columns indexed by d;
-    nothing is factored.  Each prime up to max(isqrt(limit), 3) is divided
-    out of its multiples and, except 3, appended to their class, as (p, 2)
-    at a multiple of p^2; 3 only sets e.  A multiple of p^3 is dropped.
-    What is left of a radicand is then 1 or one prime above isqrt(limit),
-    the largest, with exponent 1.  The forms are then built in one C-level
-    pass: the columns d, e and the four classes are zipped, the cube-free
-    rows picked by compress, and each row made a GerthForm by tuple.__new__,
-    with no Python step per radicand.  A list, not a generator, so that the
-    columns are freed before a caller builds on the forms.
+    nothing is factored.  The primes up to limit come from a sieve of
+    Eratosthenes and are taken in ascending order, so each class is built in
+    the order normalize gives it: each prime but 3 is appended to its class
+    at its multiples, as (p, 2) at a multiple of p^2, and 3 only sets e.  A
+    multiple of p^3 is dropped; only a prime up to isqrt(limit) has square
+    or cube multiples.  The forms are then built in one C-level pass: the
+    columns d, e and the four classes are zipped, the cube-free rows picked
+    by compress, and each row made a GerthForm by tuple.__new__, with no
+    Python step per radicand.  A list, not a generator, so that the columns
+    are freed before a caller builds on the forms.
     """
     if limit < 2:
         raise ValueError(f"scan bound must be >= 2, got {_shown(limit)}")
-    n = limit + 1
-    rest = list(range(n))
+    n, root = limit + 1, isqrt(limit)
+    prime = bytearray(2) + b"\x01" * (n - 2)
+    for p in range(2, root + 1):
+        if prime[p]:
+            prime[p * p :: p] = bytes(len(range(p * p, n, p)))
     cube_free = bytearray(2) + b"\x01" * (n - 2)  # 0 and 1 are no radicands
     e3 = bytearray(n)
     classes = [[()] * n for _ in range(4)]
-    # 3 counts in e and in no class, so it is sieved out even when above isqrt
-    for p in filter(is_prime, range(2, max(isqrt(limit), 3) + 1)):
-        p2, p3 = p * p, p * p * p
-        cube_free[p3::p3] = bytes(len(range(p3, n, p3)))
-        if p == 3:
+    for p in compress(range(n), prime):
+        if p == 3:  # 3 counts in e and in no class
             e3[3::3] = b"\x01" * len(range(3, n, 3))
             e3[9::9] = b"\x02" * len(range(9, n, 9))
-            for d in range(3, n, 3):
-                rest[d] //= 3
-            for d in range(9, n, 9):
-                rest[d] //= 3
+            cube_free[27::27] = bytes(len(range(27, n, 27)))
             continue
         fac = classes[_CLASS_OF[p % 9]]
-        once, twice = ((p, 1),), ((p, 2),)
+        once = ((p, 1),)
         for d in range(p, n, p):
-            rest[d] //= p
             fac[d] += once
-        for d in range(p2, n, p2):
-            rest[d] //= p
-            fac[d] = fac[d][:-1] + twice
-    for d in compress(range(n), cube_free):
-        q = rest[d]
-        if q > 1:
-            classes[_CLASS_OF[q % 9]][d] += ((q, 1),)
-    del rest  # first, so that the forms take its memory
+        if p <= root:
+            p2, p3, twice = p * p, p * p * p, ((p, 2),)
+            cube_free[p3::p3] = bytes(len(range(p3, n, p3)))
+            for d in range(p2, n, p2):
+                fac[d] = fac[d][:-1] + twice
     # tuple.__new__ skips GerthForm.__new__, and with it the check that each
     # row has six fields: tests/test_radicand.py checks class and length
     return list(map(

@@ -196,6 +196,12 @@ MUTANTS = (
         ("tests/test_classifier.py::test_a_unit_index_past_4300_digits_is_named_by_its_size[classify]",),
     ),
     Mutant(
+        "a shape past 4300 digits printed by its orders", "cubic93/classifier.py",
+        "if (top := max(value.orders, default=1)).bit_length() > _PRINT_BITS:",
+        "if (top := max(value.orders, default=1)).bit_length() > 10**9:",
+        ("tests/test_classifier.py::test_equivalence_names_a_shape_past_100_characters_by_its_orders",),
+    ),
+    Mutant(
         "the equivalence prints a long supplied shape in full", "cubic93/classifier.py",
         "supplied cubic shape {_named(c_gamma)} contradicts", "supplied cubic shape {c_gamma} contradicts",
         ("tests/test_classifier.py::test_equivalence_names_a_shape_past_100_characters_by_its_orders",),
@@ -266,6 +272,11 @@ MUTANTS = (
         "_split_pair(p)[1] // 3 % 3]", "_split_pair(p)[1] % 3]",
         (_SYMBOL_ORACLE,),
     ),
+    Mutant(
+        "the decision key takes q = 2 (mod 9) for a class8mod9 prime", "cubic93/classifier.py",
+        "8 if c8 else (c25[0][0] % 9", "2 if c8 else (c25[0][0] % 9",
+        ("tests/test_classifier.py::test_the_inline_key_is_the_signature_below_20000",),
+    ),
     # Eisenstein integers
     Mutant(
         "a unit is its own inverse", "cubic93/eisenstein.py",
@@ -290,8 +301,13 @@ MUTANTS = (
     ),
     Mutant(
         "a unit modulus not refused", "cubic93/eisenstein.py",
-        '        raise ValueError(f"{pi} is not a prime of Z[w]")\n',
-        '        if not pi.is_unit:\n            raise ValueError(f"{pi} is not a prime of Z[w]")\n',
+        "        raise ValueError(f\"a + b*w with",
+        "        if not pi.is_unit:\n            raise ValueError(f\"a + b*w with",
+        ("tests/test_eisenstein.py::test_character_rejects_bad_moduli",),
+    ),
+    Mutant(
+        "a refused modulus printed in full", "cubic93/eisenstein.py",
+        "({_shown(pi.a)}, {_shown(pi.b)}) is not a prime", "({pi.a}, {pi.b}) is not a prime",
         ("tests/test_eisenstein.py::test_character_rejects_bad_moduli",),
     ),
     # the elimination
@@ -379,8 +395,8 @@ MUTANTS = (
         (_FORMS,),
     ),
     Mutant(
-        "the sieve drops the leftover prime above isqrt(limit)", "cubic93/radicand.py",
-        "        if q > 1:\n", "        if False:\n",
+        "the sieve skips the primes above isqrt(limit)", "cubic93/radicand.py",
+        "for p in compress(range(n), prime):", "for p in compress(range(root + 1), prime):",
         (_FORMS, f"{_FORMS}_up_to_the_scan_bound"),
     ),
     Mutant(

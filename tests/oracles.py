@@ -17,7 +17,6 @@ from cubic93.classifier import (
     Verdict,
     _decision,
     _necessary_form,
-    _signature,
 )
 from cubic93.eisenstein import (
     CubicCharacterValue,
@@ -170,16 +169,23 @@ def factor_by_divmod(z: EisensteinInt) -> EisensteinFactorization:
     return EisensteinFactorization(unit=remaining, factors=tuple(out))
 
 
+def _signature(g: GerthForm) -> tuple[int, ...]:
+    """(v, w, I, J, e, d % 9, p % 9, q % 9), with p and q the first split
+    and inert primes (0 where there is none), read through the GerthForm
+    properties: the key of _decision that _necessary_form builds inline."""
+    split, inert = g.split_primes, g.inert_primes
+    return (
+        g.v, g.w, g.I, g.J, g.e, g.d % 9,
+        split[0][0] % 9 if split else 0, inert[0][0] % 9 if inert else 0,
+    )
+
+
 def necessary_form_by_properties(g: GerthForm) -> Verdict:
     """The verdict for a cube-free form, read through the GerthForm properties.
 
     The library's earlier path: split_primes and inert_primes are rebuilt by
     concatenation for the signature, the factor text and each named prime."""
-    split, inert = g.split_primes, g.inert_primes
-    dec = _decision((
-        len(g.class1mod9), len(split), len(g.class8mod9), len(inert), g.e, g.d % 9,
-        split[0][0] % 9 if split else 0, inert[0][0] % 9 if inert else 0,
-    ))
+    dec = _decision(_signature(g))
     parts = []
     if g.e:
         parts.append(f"3^{g.e}" if g.e > 1 else "3")

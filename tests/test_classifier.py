@@ -29,7 +29,6 @@ from cubic93.classifier import (
     _candidate_forms,
     _decision,
     _necessary_form,
-    _signature,
     classify,
     hk_from_hgamma,
     necessary_form,
@@ -40,7 +39,7 @@ from cubic93.eisenstein import CubicCharacterValue, factor_rational_prime, ratio
 from cubic93.genus import period_polynomial
 from cubic93.radicand import GerthForm, _cube_free_count, _cube_free_forms, normalize
 from cubic93.ramification import ramify
-from oracles import cube_free_sieve, necessary_form_by_properties, primes_below
+from oracles import _signature, cube_free_sieve, necessary_form_by_properties, primes_below
 
 LIMIT = 10_000
 
@@ -164,9 +163,14 @@ def test_an_argument_past_4300_digits_is_named_by_its_size(call, n):
 
 def test_equivalence_names_a_shape_past_100_characters_by_its_orders():
     cut = "orders (3, 3, 3, 3, 3, 3, ...)"
-    # 17 factors print in 99 characters, 18 in 105; 10 000 printed lines of 60 000 and more
-    for n, named in ((17, " x ".join(["Z/3"] * 17)), (18, cut), (10_000, cut)):
-        shape = ClassGroupShape((3,) * n)
+    # 17 factors print in 99 characters, 18 in 105; 10 000 printed lines of 60 000 and more;
+    # str() of 3^10000 raises CPython's int-limit error, which would replace the trace
+    for shape, named in (
+        (ClassGroupShape((3,) * 17), " x ".join(["Z/3"] * 17)),
+        (ClassGroupShape((3,) * 18), cut),
+        (ClassGroupShape((3,) * 10_000), cut),
+        (ClassGroupShape.of(3**10_000), "a shape with 1 cyclic factor, the largest of order a 15850-bit integer"),
+    ):
         traces = [
             type93_equivalence("forward", c_k=ClassGroupShape.of(9, 3), c_gamma=shape).trace,
             type93_equivalence("backward", c_gamma=shape, u=1).trace,
@@ -813,6 +817,28 @@ def test_necessary_form_equals_the_property_oracle_on_any_radicand(n):
     assert _necessary_form(g) == necessary_form_by_properties(g)
 
 
+def _keys_passed(forms) -> list[tuple[int, ...]]:
+    """The key that _necessary_form hands _decision, for each form in turn."""
+    keys: list[tuple[int, ...]] = []
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(cubic93.classifier, "_decision", lambda key: keys.append(key) or _decision(key))
+        for g in forms:
+            _necessary_form(g)
+    return keys
+
+
+def test_the_inline_key_is_the_signature_below_20000():
+    forms = _cube_free_forms(20_000)
+    assert _keys_passed(forms) == [_signature(g) for g in forms]
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(2, 10**8).filter(lambda n: round(n ** (1 / 3)) ** 3 != n))
+def test_the_inline_key_is_the_signature_on_any_radicand(n):
+    g = normalize(n)
+    assert _keys_passed([g]) == [_signature(g)]
+
+
 def test_the_scan_path_reads_no_concatenating_property(monkeypatch):
     # each of these properties rebuilds a tuple or a sum, or walks the factors
     # again, on every read; the per-radicand path reads the six fields instead
@@ -823,8 +849,6 @@ def test_the_scan_path_reads_no_concatenating_property(monkeypatch):
             pytest.fail(f"the scan path read GerthForm.{name} of {g.d}")
         monkeypatch.setattr(GerthForm, name, property(unread))
     assert len(scan(2000)) == len(forms)
-    for g in forms:
-        _decision(_signature(g))
 
 
 # ------------------------------------------------------ one factorization each

@@ -479,6 +479,11 @@ def test_character_rejects_bad_moduli():
     for u in UNITS:  # norm 1: no prime, and no residue field
         with pytest.raises(ValueError, match=r"is not a prime of Z\[w\]"):
             cubic_character(OMEGA, u)
+    # str() of 10^5000 raises CPython's int-limit error; 4 * 3^5000 has 2 387 digits
+    for pi in (EisensteinInt(10**5000, 0), EisensteinInt(4 * 3**5000, 0)):
+        with pytest.raises(ValueError, match=r"is not a prime of Z\[w\]") as info:
+            cubic_character(ONE, pi)
+        assert len(str(info.value)) < 200 and "digits" not in str(info.value)
 
 
 def test_split_character_raises_off_the_cube_roots_of_unity():
