@@ -5,9 +5,9 @@ N(a + b*w) = a^2 - a*b + b^2, has exactly six units +-1, +-w, +-w^2, and a
 single prime lam = 1 - w above 3 (with 3 = -w^2 * lam^2).  A rational prime
 p != 3 splits as pi * conj(pi) when p = 1 (mod 3) and stays inert when
 p = 2 (mod 3).  For split p, pi comes from p = x^2 + 3y^2, found on plain
-integers by Cornacchia's algorithm (Cohen, GTM 138, Alg. 1.5.2).  `factor`
-also works on integer pairs: it divides each prime out exactly, and a
-nonzero remainder is an error, not a rounding.
+integers by Cornacchia's algorithm (Cohen, GTM 138, Alg. 1.5.2).
+`EisensteinInt` holds the ring's values and + - *; `factor` divides on
+integer pairs, exactly: a nonzero remainder is an error, not a rounding.
 
 Cubic residue characters follow the classical "primary" normalisation
 z = 2 (mod 3) of Ireland & Rosen (A Classical Introduction to Modern Number
@@ -30,20 +30,13 @@ from ._intmath import _shown, factorize, is_prime as _is_rational_prime
 _Operand = Union["EisensteinInt", int]
 
 
-def _round_div(n: int, d: int) -> int:
-    """Nearest integer to n/d for d > 0; ties go away from zero."""
-    if n >= 0:
-        return (2 * n + d) // (2 * d)
-    return -((-2 * n + d) // (2 * d))
-
-
 class EisensteinInt:
-    """a + b*w with integer a, b, where all arithmetic reduces w^2 to -1 - w.
+    """a + b*w with integer a, b: the ring's values and + - *, where the
+    product reduces w^2 to -1 - w; factor divides on integer pairs.
 
-    The norm a^2 - a*b + b^2 is nonnegative and vanishes only at 0.  Python
-    integers are unbounded, so no overflow is possible at any input size.
-    Immutable and slotted, not a tuple: EisensteinInt(1, 0) equals 1, never
-    the pair (1, 0).
+    The norm a^2 - a*b + b^2 is nonnegative and vanishes only at 0, and
+    Python integers do not overflow.  Immutable and slotted, not a tuple:
+    EisensteinInt(1, 0) equals 1, never the pair (1, 0).
     """
 
     __slots__ = ("a", "b")
@@ -131,45 +124,6 @@ class EisensteinInt:
     def is_unit(self) -> bool:
         return self.norm() == 1
 
-    def __divmod__(self, other: _Operand) -> tuple["EisensteinInt", "EisensteinInt"]:
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        if o.is_zero:
-            raise ZeroDivisionError("division by zero in Z[w]")
-        # Nearest-lattice-point division: N(r) <= (3/4) N(o) < N(o).
-        n = self * o.conjugate()
-        nn = o.norm()
-        q = EisensteinInt(_round_div(n.a, nn), _round_div(n.b, nn))
-        return q, self - q * o
-
-    def __floordiv__(self, other: _Operand) -> "EisensteinInt":
-        return divmod(self, other)[0]
-
-    def __mod__(self, other: _Operand) -> "EisensteinInt":
-        return divmod(self, other)[1]
-
-    def divides(self, other: _Operand) -> bool:
-        o = self._coerce(other)
-        if o is None:
-            raise TypeError(f"cannot test divisibility against {other!r}")
-        return (o % self).is_zero
-
-    def __pow__(self, exponent: int) -> "EisensteinInt":
-        if exponent < 0:
-            if not self.is_unit:
-                raise ValueError("negative powers exist only for units")
-            return self.conjugate() ** -exponent  # u * conj(u) = N(u) = 1
-        result = ONE
-        base = self
-        n = exponent
-        while n:
-            if n & 1:
-                result = result * base
-            base = base * base
-            n >>= 1
-        return result
-
     def __str__(self) -> str:
         if self.b == 0:
             return str(self.a)
@@ -228,7 +182,8 @@ def primary_associate(z: EisensteinInt) -> EisensteinInt:
     """The unique associate of z congruent to 2 (mod 3), i.e. with
     a = 2 and b = 0 (mod 3).  Requires N(z) coprime to 3."""
     if z.norm() % 3 == 0:
-        raise ValueError(f"{z} has norm divisible by 3; no primary associate")
+        ab = f"({_shown(z.a)}, {_shown(z.b)})"
+        raise ValueError(f"a + b*w with (a, b) = {ab} has norm divisible by 3; no primary associate")
     return EisensteinInt(*_primary_pair(z.a, z.b))
 
 

@@ -90,18 +90,46 @@ def character_product(*values: CubicCharacterValue) -> CubicCharacterValue:
     return _ROOTS[sum(_ROOTS.index(v) for v in values) % 3]
 
 
+def _round_div(n: int, d: int) -> int:
+    """A nearest integer to n/d for d > 0: floor(n/d + 1/2), so ties go up."""
+    return (2 * n + d) // (2 * d)
+
+
+def ediv(x: EisensteinInt, y: EisensteinInt) -> tuple[EisensteinInt, EisensteinInt]:
+    """Euclidean division in Z[w]: (q, r) with x = q*y + r, where q is the
+    lattice point nearest x/y, so N(r) <= (3/4) N(y) < N(y)."""
+    if y.is_zero:
+        raise ZeroDivisionError("division by zero in Z[w]")
+    n, nn = x * y.conjugate(), y.norm()
+    q = EisensteinInt(_round_div(n.a, nn), _round_div(n.b, nn))
+    return q, x - q * y
+
+
+def divides(y: EisensteinInt, x: EisensteinInt) -> bool:
+    """y divides x in Z[w], for y != 0: ediv leaves no remainder."""
+    return ediv(x, y)[1].is_zero
+
+
+def power(z: EisensteinInt, n: int) -> EisensteinInt:
+    """z^n for n >= 0, by repeated multiplication."""
+    out = EisensteinInt(1)
+    for _ in range(n):
+        out = out * z
+    return out
+
+
 def recomposed(f: EisensteinFactorization) -> EisensteinInt:
     """unit * prod(prime^exponent): the value a factorization stands for."""
     out = f.unit
     for prime, exp in f.factors:
-        out = out * prime**exp
+        out = out * power(prime, exp)
     return out
 
 
 def gcd(x: EisensteinInt, y: EisensteinInt) -> EisensteinInt:
     """A greatest common divisor of x and y (unique up to units)."""
     while not y.is_zero:
-        x, y = y, x % y
+        x, y = y, ediv(x, y)[1]
     return x
 
 
@@ -143,8 +171,8 @@ def cubic_symbol_of_three(p: int) -> CubicCharacterValue:
 def factor_by_divmod(z: EisensteinInt) -> EisensteinFactorization:
     """Factor z != 0 into a unit and prime powers.
 
-    Where factor tests residues and divides integer pairs, this tests each
-    prime by EisensteinInt.divides and divides by EisensteinInt floor division."""
+    Where factor tests residues and divides integer pairs, this tests and
+    divides out each prime by the Euclidean division ediv."""
     if z.is_zero:
         raise ValueError("cannot factor 0")
     remaining = z
@@ -155,8 +183,8 @@ def factor_by_divmod(z: EisensteinInt) -> EisensteinFactorization:
         total = 0
         for prime in splitting.factors:
             e = 0
-            while prime.divides(remaining):
-                remaining = remaining // prime
+            while divides(prime, remaining):
+                remaining = ediv(remaining, prime)[0]
                 e += 1
             if e:
                 out.append((prime, e))

@@ -16,6 +16,7 @@ from pathlib import Path
 import pytest
 
 import cubic93
+import mutants
 import oracles
 
 PACKAGE = Path(cubic93.__file__).resolve().parent
@@ -85,6 +86,28 @@ def test_source_stays_below_2400_lines_and_62_public_names():
     )
     assert lines < 2400
     assert int(names.stdout) <= 62
+
+
+def test_every_mutant_applies_once_and_names_tests_that_exist():
+    # tests/mutants.py runs for minutes, so a stale entry, one whose old
+    # text is gone or whose named test is, shows up here first
+    root = Path(__file__).resolve().parents[1]
+    defined: dict[str, set[str]] = {}
+    stale = []
+    for mutant in mutants.MUTANTS:
+        try:
+            mutants.mutated(mutant)
+        except ValueError as exc:
+            stale.append(f"{mutant.name}: {exc}")
+        for node_id in mutant.tests:
+            path, _, name = node_id.partition("::")
+            if path not in defined:
+                tree = ast.parse((root / path).read_text(encoding="utf-8"))
+                defined[path] = {node.name for node in tree.body if isinstance(node, ast.FunctionDef)}
+            if name.split("[")[0] not in defined[path]:
+                stale.append(f"{mutant.name}: no test {node_id}")
+    assert mutants.MUTANTS
+    assert stale == []
 
 
 def test_perfbench_clears_every_cache_that_import_cubic93_can_reach():
