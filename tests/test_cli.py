@@ -20,6 +20,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import cubic93
+from cubic93 import _intmath, classifier, eisenstein, genus
 from cubic93._intmath import _MR_LIMIT
 from cubic93.cli import _cmd_scan, main
 from cubic93.radicand import normalize
@@ -555,6 +556,63 @@ def test_commands_factor_the_radicand_once(capsys, factorize_calls, argv):
     code, _, _ = run(capsys, *argv)
     assert code == 0
     assert factorize_calls == [int(argv[1])]
+
+
+#: command, or library scan(30000), -> the kernel's work from empty caches:
+#: Miller-Rabin tests, rho splits, Cornacchia pairs and product-tree builds.
+#: A prime below 2^20 takes no Miller-Rabin; 1048633 and genus 1000003's
+#: norms above it take one each; 95477 = 307 * 311 builds the tree once and
+#: needs no rho.  scan's row also counts the cyclic collections inside it
+WORK = {
+    "classify 199 --h3 9 --u 1": {"_miller_rabin": 0, "_brent_rho": 0, "_split_pair": 0, "_prime_tree": 0},
+    "classify 1000003": {"_miller_rabin": 0, "_brent_rho": 0, "_split_pair": 1, "_prime_tree": 0},
+    "classify 1048633": {"_miller_rabin": 1, "_brent_rho": 0, "_split_pair": 1, "_prime_tree": 0},
+    "classify 95477": {"_miller_rabin": 0, "_brent_rho": 0, "_split_pair": 0, "_prime_tree": 1},
+    "symbol 3 1000003": {"_miller_rabin": 0, "_brent_rho": 0, "_split_pair": 1, "_prime_tree": 0},
+    "ramify 42": {"_miller_rabin": 0, "_brent_rho": 0, "_split_pair": 1, "_prime_tree": 0},
+    "genus 1000003": {"_miller_rabin": 6, "_brent_rho": 0, "_split_pair": 1, "_prime_tree": 0},
+    "scan(30000)": {"_miller_rabin": 0, "_brent_rho": 0, "_split_pair": 1082, "_prime_tree": 0,
+                    "collections": 0},
+}
+
+
+@pytest.mark.parametrize("command", WORK)
+def test_the_kernel_work_of_each_command_from_empty_caches(capsys, monkeypatch, command):
+    # a count, not a time, so a lost shortcut (a second proof of a prime, a
+    # second Cornacchia per verdict, the collector left on in scan) fails on
+    # any host
+    counts = dict.fromkeys(WORK[command], 0)
+
+    def count(name: str, *modules: object) -> None:
+        real = getattr(modules[0], name)
+
+        def counting(*args: object) -> object:
+            counts[name] += 1
+            return real(*args)
+
+        for module in modules:
+            monkeypatch.setattr(module, name, counting)
+
+    count("_miller_rabin", _intmath)
+    count("_brent_rho", _intmath)
+    count("_prime_tree", _intmath)
+    count("_split_pair", eisenstein, classifier)
+    monkeypatch.setattr(_intmath, "_PRIME_TREE", [])
+    for cached in (eisenstein.factor_rational_prime, genus.period_polynomial, classifier._decision):
+        cached.cache_clear()
+    if command == "scan(30000)":
+        def collected(phase: str, info: dict[str, int]) -> None:
+            counts["collections"] += phase == "start"
+
+        gc.collect()
+        gc.callbacks.append(collected)
+        try:
+            assert len(classifier.scan(30000)) == 24953
+        finally:
+            gc.callbacks.remove(collected)
+    else:
+        assert run(capsys, *command.split())[0] == 0
+    assert counts == WORK[command]
 
 
 def test_broken_invariant_is_a_data_error():
