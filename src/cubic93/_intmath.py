@@ -1,21 +1,20 @@
 """Small deterministic integer helpers shared across the package.
 
 Primality has three tiers.  One gcd with the product of the primes below
-300 decides n < 300^2.  A 64 KiB bit table of the odd primes decides n <
-2^20: the first lookup sieves it, in 2.6 ms on a 2-vCPU Xeon (a one-shot CLI query in
-that range pays this once), and two threads that sieve it at once build
-the same bytes, which is harmless.  Deterministic Miller-Rabin decides
+300 decides n < 300^2.  A second gcd, with the product of the 110 primes
+between 300 and 2^10, decides n < 2^20, since a composite n < 2^20 has a
+prime factor below 2^10.  Deterministic Miller-Rabin decides
 n < 3.3e24: the first k prime bases make the strong-probable-prime test
 exact below the least strong pseudoprime to all of them (Jaeschke;
 Sorenson and Webster).  Factorization trial-divides by the primes below
 300, then proves each piece of the cofactor prime or splits it: below 1e8
 by a gcd descent over a product tree of the primes below 1e4 (Bernstein
-2004; built on first use, like the table), above by Pollard-Brent rho.  At
-or above 3.3e24 nothing but a prime factor below 300 can be found, so
-there is_prime and factorize raise ValueError naming that bound.  Every
-n < 3.3e24 is factored exactly; two primes near 1.8e12 take seconds.  The
-tool targets desk-scale inputs (radicands up to ~1e8, Eisenstein norms up
-to ~1e14) and needs no dependencies.
+2004; built on first use), above by Pollard-Brent rho.  At or above 3.3e24
+nothing but a prime factor below 300 can be found, so there is_prime and
+factorize raise ValueError naming that bound.  Every n < 3.3e24 is
+factored exactly; two primes near 1.8e12 take seconds.  The tool targets
+desk-scale inputs (radicands up to ~1e8, Eisenstein norms up to ~1e14) and
+needs no dependencies.
 """
 
 from __future__ import annotations
@@ -47,9 +46,10 @@ _SMALL_PRIMES = tuple(
 )
 _SMALL_PRIME_SET = frozenset(_SMALL_PRIMES)
 _PRIMORIAL = prod(_SMALL_PRIMES)
-#: odd 1 < n < 2^20 is prime iff _PRIME_BITS[n >> 4] has bit (n >> 1) & 7 set
-_TABLE_LIMIT = 1 << 20
-_PRIME_BITS = b""
+#: 300^2 <= n < 2^20 with no prime factor below 300 is prime iff it has none
+#: below 2^10 either, that is, iff gcd(n, _GCD_PRODUCT) == 1
+_GCD_LIMIT = 1 << 20
+_GCD_PRODUCT = prod(p for p in range(_TRIAL_BOUND + 1, 1 << 10, 2) if gcd(p, _PRIMORIAL) == 1)
 #: level k of _PRIME_TREE: products of 2^k consecutive primes between 300 and this bound (then 1s)
 _TREE_BOUND = 10_000
 _PRIME_TREE: list[list[int]] = []
@@ -64,9 +64,9 @@ _PRINT_BITS = 14_000
 
 def is_prime(n: int) -> bool:
     """Deterministic primality in the three tiers of the module docstring:
-    the primes below 300, the bit table, and Miller-Rabin up to 3.3e24.  At
-    or above 3.3e24 only a prime factor below 300 decides (composite);
-    without one this raises ValueError instead of searching on.
+    the primes below 300, those up to 2^10, and Miller-Rabin up to
+    3.3e24.  At or above 3.3e24 only a prime factor below 300 decides
+    (composite); without one this raises ValueError instead of searching on.
     """
     if n < _TRIAL_BOUND:
         return n in _SMALL_PRIME_SET
@@ -84,26 +84,9 @@ def _proven_prime(n: int) -> bool:
     """Primality of 300 <= n < 3.3e24 with no prime factor below 300."""
     if n < _TRIAL_BOUND * _TRIAL_BOUND:
         return True
-    if n < _TABLE_LIMIT:
-        return (_PRIME_BITS or _sieve_prime_bits())[n >> 4] >> (n >> 1 & 7) & 1 == 1
+    if n < _GCD_LIMIT:
+        return gcd(n, _GCD_PRODUCT) == 1
     return _miller_rabin(n)
-
-
-def _sieve_prime_bits() -> bytes:
-    """Fill _PRIME_BITS a 64 KiB bit plane at a time: plane k sieves the odd
-    numbers 16j + 2k + 1 a byte each (1 is left set) and gives bit k of byte j."""
-    global _PRIME_BITS
-    primes = [p for p in range(3, 1 << 10, 2)  # p^2 < 2^20; no factor below 300
-              if p in _SMALL_PRIME_SET or gcd(p, _PRIMORIAL) == 1]
-    bits = 0
-    for k in range(8):
-        plane = bytearray(b"\x01") * (_TABLE_LIMIT >> 4)
-        for p in primes:  # strike pq for odd q >= p with pq = 2k + 1 (mod 16)
-            q = p + ((2 * k + 1) * pow(p, -1, 16) - p) % 16
-            plane[p * q >> 4 :: p] = bytes(len(range(p * q >> 4, len(plane), p)))
-        bits |= int.from_bytes(plane, "little") << k
-    _PRIME_BITS = bits.to_bytes(_TABLE_LIMIT >> 4, "little")
-    return _PRIME_BITS
 
 
 def _prime_tree() -> list[list[int]]:
@@ -142,10 +125,10 @@ def factorize(n: int) -> dict[int, int]:
     """Prime factorization of n >= 1 as {prime: exponent}, primes ascending.
 
     Trial division by the primes below 300 leaves a cofactor whose pieces
-    below 300^2 are prime.  A larger piece is proven prime (by the table or
-    Miller-Rabin) or split: as a square, below 1e8 by a descent of
-    _PRIME_TREE, else by _brent_rho.  Raises ValueError when the cofactor is
-    at or above 3.3e24, beyond every primality proof.
+    below 300^2 are prime.  A larger piece is proven prime (by one gcd below
+    2^20, else by Miller-Rabin) or split: as a square, below 1e8 by a
+    descent of _PRIME_TREE, else by _brent_rho.  Raises ValueError when the
+    cofactor is at or above 3.3e24, beyond every primality proof.
     """
     if n < 1:
         raise ValueError(f"cannot factor {n}; need a positive integer")

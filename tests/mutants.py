@@ -9,9 +9,10 @@ applies the entry's one replacement, which must occur exactly once in its file,
 and runs the named tests with PYTHONPATH pointing at the copy.  It prints one
 JSON line per mutant: its name, "killed" when every named test failed,
 "survived" when one of them passed (those are listed), or "error" when the
-replacement or the test run could not be made, and the seconds it took.  The
-exit status is 0 when every mutant is killed, except the entries marked to
-survive, which must survive; it is 1 otherwise.  It needs only the standard
+replacement or the test run could not be made or the run took more than
+TIMEOUT seconds, and the seconds it took.  The exit status is 0 when every
+mutant is killed, except the entries marked to survive, which must
+survive; it is 1 otherwise.  It needs only the standard
 library and pytest, and runs the mutants one after another.
 """
 
@@ -30,6 +31,8 @@ from typing import NamedTuple
 
 ROOT = Path(__file__).resolve().parents[1]
 SRC = ROOT / "src"
+#: seconds a mutant's test run may take; past it the run is stopped and counts as an error
+TIMEOUT = 600
 
 
 class Mutant(NamedTuple):
@@ -55,30 +58,23 @@ _SYMBOL_ORACLE = (
 _GP_OUTPUT = "tests/test_data_bridge.py::test_any_gp_output_is_a_row_or_one_cas_error"
 _FORMS = "tests/test_radicand.py::test_sieve_matches_normalize"
 _PAST_4300 = "tests/test_classifier.py::test_an_argument_past_4300_digits_is_named_by_its_size"
+_WORK = "tests/test_cli.py::test_the_kernel_work_of_each_command_from_empty_caches"
 
 MUTANTS = (
-    # the prime table's builder
+    # the gcd that proves 300^2 <= n < 2^20 prime
     Mutant(
-        "sieve starts one step late", "cubic93/_intmath.py",
-        "plane[p * q >> 4 :: p] = bytes(len(range(p * q >> 4, len(plane), p)))",
-        "plane[(p * q >> 4) + p :: p] = bytes(len(range((p * q >> 4) + p, len(plane), p)))",
+        "gcd tier's primes stop at 2^9", "cubic93/_intmath.py",
+        "range(_TRIAL_BOUND + 1, 1 << 10, 2)", "range(_TRIAL_BOUND + 1, 1 << 9, 2)",
         (_SIEVE,),
     ),
     Mutant(
-        "bit planes packed in reverse", "cubic93/_intmath.py",
-        'bits |= int.from_bytes(plane, "little") << k',
-        'bits |= int.from_bytes(plane, "little") << (7 - k)',
-        (_SIEVE,),
+        "gcd tier's bound raised to 2^21", "cubic93/_intmath.py",
+        "_GCD_LIMIT = 1 << 20", "_GCD_LIMIT = 1 << 21",
+        ("tests/test_intmath.py::test_factorize_matches_trial_division_on_cofactors_near_2_20",),
     ),
     Mutant(
-        "sieving primes stop at 2^9", "cubic93/_intmath.py",
-        "range(3, 1 << 10, 2)", "range(3, 1 << 9, 2)",
-        (_SIEVE,),
-    ),
-    Mutant(
-        "table bit of 1047791 = 307 * 3413 flipped", "cubic93/_intmath.py",
-        '_PRIME_BITS = bits.to_bytes(_TABLE_LIMIT >> 4, "little")',
-        '_PRIME_BITS = (bits ^ 1 << (1047791 >> 1)).to_bytes(_TABLE_LIMIT >> 4, "little")',
+        "gcd tier's product ends before 1021", "cubic93/_intmath.py",
+        "range(_TRIAL_BOUND + 1, 1 << 10, 2)", "range(_TRIAL_BOUND + 1, 1021, 2)",
         (_SIEVE,),
     ),
     # the product tree that splits a composite cofactor below 1e8, and its descent
@@ -277,6 +273,12 @@ MUTANTS = (
         "8 if c8 else (c25[0][0] % 9", "2 if c8 else (c25[0][0] % 9",
         ("tests/test_classifier.py::test_the_inline_key_is_the_signature_below_20000",),
     ),
+    Mutant(
+        "a second _split_pair per verdict", "cubic93/classifier.py",
+        "_SYMBOL_OF_THREE[_split_pair(p)[1] // 3 % 3]",
+        "_SYMBOL_OF_THREE[(_split_pair(p) and _split_pair(p))[1] // 3 % 3]",
+        (f"{_WORK}[classify 1000003]", f"{_WORK}[scan(30000)]"),
+    ),
     # Eisenstein integers
     Mutant(
         "a foreign operand coerces to zero", "cubic93/eisenstein.py",
@@ -410,6 +412,11 @@ MUTANTS = (
         "        if enabled:\n            gc.enable()", "        if enabled:\n            pass",
         ("tests/test_classifier.py::test_scan_and_classify_in_two_threads_give_the_verdicts_of_one",),
     ),
+    Mutant(
+        "scan without its collector pause", "cubic93/classifier.py",
+        "    enabled = gc.isenabled()\n    gc.disable()\n", "    enabled = gc.isenabled()\n",
+        (f"{_WORK}[scan(30000)]",),
+    ),
     # the control: a comment edit changes no behaviour, so nothing can kill it
     Mutant(
         "comment edited (control)", "cubic93/_intmath.py",
@@ -447,10 +454,13 @@ def run(mutant: Mutant) -> dict[str, object]:
         ).stdout.strip()
         if not where.startswith(str(copy)):
             return {**record, "result": "error", "why": f"cubic93 imports from {where!r}"}
-        proc = subprocess.run(
-            [sys.executable, "-m", "pytest", "-q", "-rf", "-p", "no:cacheprovider", *mutant.tests],
-            capture_output=True, text=True, env=env, cwd=ROOT,
-        )
+        try:
+            proc = subprocess.run(
+                [sys.executable, "-m", "pytest", "-q", "-rf", "-p", "no:cacheprovider", *mutant.tests],
+                capture_output=True, text=True, env=env, cwd=ROOT, timeout=TIMEOUT,
+            )
+        except subprocess.TimeoutExpired:
+            return {**record, "result": "error", "why": f"its tests ran past {TIMEOUT} s"}
     failed = set(re.findall(r"^FAILED (.+?)(?: - .*)?$", proc.stdout, re.MULTILINE))
     passed = [t for t in mutant.tests if t not in failed]
     if proc.returncode not in (0, 1):  # a named test that does not exist, or a crash

@@ -698,9 +698,9 @@ def test_scan_leaves_no_cyclic_garbage():
 
 def test_scan_and_classify_in_two_threads_give_the_verdicts_of_one(monkeypatch):
     # the README says every module is safe for concurrent use.  The caches
-    # and the prime table start empty, so the threads fill them together,
-    # switching every microsecond; and the collector, which scan pauses for
-    # the whole process, is on again when both are done
+    # start empty, so the threads fill them together, switching every
+    # microsecond; and the collector, which scan pauses for the whole
+    # process, is on again when both are done
     def classify_all() -> list[object]:
         out: list[object] = []
         for d in range(2, 3000):
@@ -713,7 +713,6 @@ def test_scan_and_classify_in_two_threads_give_the_verdicts_of_one(monkeypatch):
     expected = {"scan": scan(20_000), "classify": classify_all()}
     _decision.cache_clear()
     factor_rational_prime.cache_clear()
-    monkeypatch.setattr(cubic93._intmath, "_PRIME_BITS", b"")
     got: dict[str, object] = {}
     threads = [
         threading.Thread(target=lambda: got.update(scan=scan(20_000))),
@@ -747,7 +746,6 @@ def test_threads_that_build_the_prime_tree_at_once_give_the_verdicts_of_one(monk
     expected = classify_all(radicands)
     factor_rational_prime.cache_clear()
     monkeypatch.setattr(cubic93._intmath, "_PRIME_TREE", [])
-    monkeypatch.setattr(cubic93._intmath, "_PRIME_BITS", b"")
     rho, rho_calls = cubic93._intmath._brent_rho, []
     monkeypatch.setattr(cubic93._intmath, "_brent_rho", lambda n: rho_calls.append(n) or rho(n))
     got: list[dict[int, object]] = []

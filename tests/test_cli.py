@@ -560,9 +560,10 @@ def test_commands_factor_the_radicand_once(capsys, factorize_calls, argv):
 
 #: command, or library scan(30000), -> the kernel's work from empty caches:
 #: Miller-Rabin tests, rho splits, Cornacchia pairs and product-tree builds.
-#: A prime below 2^20 takes no Miller-Rabin; 1048633 and genus 1000003's
-#: norms above it take one each; 95477 = 307 * 311 builds the tree once and
-#: needs no rho.  scan's row also counts the cyclic collections inside it
+#: A prime below 2^20 takes no Miller-Rabin; 1048633 takes one, and so does
+#: each of the six moduli near 7.4e16 that genus 1000003's period check
+#: tries; 95477 = 307 * 311 builds the tree once and needs no rho.  scan's
+#: row also counts the cyclic collections inside it
 WORK = {
     "classify 199 --h3 9 --u 1": {"_miller_rabin": 0, "_brent_rho": 0, "_split_pair": 0, "_prime_tree": 0},
     "classify 1000003": {"_miller_rabin": 0, "_brent_rho": 0, "_split_pair": 1, "_prime_tree": 0},

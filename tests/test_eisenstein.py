@@ -582,7 +582,7 @@ def test_symbol_agrees_with_character_at_prime_above_p():
 
 def test_symbol_of_three_follows_the_supplementary_laws():
     # p crosses 300^2, so is_prime proves it by the primes below 300 and by
-    # the bit table of the odd primes below 2^20
+    # one gcd with the primes between 300 and 2^10
     primes = [p for p in primes_below(200_000) if p % 3 == 1]
     assert len(primes) == 8988 and primes[0] < 90_000 < primes[-1]
     for p in primes:

@@ -17,6 +17,7 @@ from __future__ import annotations
 import hashlib
 import json
 import os
+import re
 import shlex
 import subprocess
 import sys
@@ -26,6 +27,7 @@ import pytest
 
 import cubic93
 from cubic93.classifier import ClassGroupShape, classify, scan, type93_equivalence
+from cubic93.cli import main
 
 #: this checkout's src directory, the only entry the CLI processes get on their path
 SRC = str(Path(cubic93.__file__).resolve().parents[1])
@@ -75,6 +77,28 @@ def test_cli_output_is_unchanged(command):
     )
     digest = hashlib.sha256(json.dumps([proc.returncode, proc.stdout, proc.stderr]).encode())
     assert digest.hexdigest() == CLI_OUTPUT[command], proc.stderr
+
+
+def test_the_readme_cli_examples_are_pinned_and_print_what_they_state(capsys):
+    # each "$ cubic93 <command>  # <result>" line of the README's Examples
+    # block: its output is pinned above, and its stated result is read here.
+    # The PARI/GP one needs gp, so only its place in the block is checked
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    examples = dict(re.findall(r"^\$ cubic93 (.+?) +# (.+)$", readme, re.MULTILINE))
+    assert list(examples) == [
+        "classify 199 --h3 9 --u 1", "classify 61", "scan --max 200", "table --cas 'gp -q'"]
+    outputs = {}
+    for command in list(examples)[:3]:
+        assert command in CLI_OUTPUT
+        assert main(shlex.split(command)) == 0
+        outputs[command] = capsys.readouterr().out
+    assert examples["classify 199 --h3 9 --u 1"] == "certified Z/9 x Z/3"
+    assert "status: certified_9_3\n3-class group of k: Z/9 x Z/3\n" in outputs["classify 199 --h3 9 --u 1"]
+    assert examples["classify 61"] == "excluded, conjecture-backed reason"
+    assert "status: excluded\n" in outputs["classify 61"]
+    assert re.search(r"^reason: \[\w+\] \(conjecture-backed\) ", outputs["classify 61"], re.MULTILINE)
+    listed = [line.split()[2] for line in outputs["scan --max 200"].splitlines() if line.startswith("d = ")]
+    assert examples["scan --max 200"].split() == listed == "19 37 73 109 127 163 181 199".split()
 
 
 def test_scan_200000_verdict_text_is_unchanged():

@@ -1,14 +1,14 @@
 """The integer kernel: deterministic primality, factorization and the 3-part of n.
 
-is_prime decides n < 300^2 by the primes below 300, n < 2^20 by a bit
-table of the odd primes, and larger n by Miller-Rabin, picking its bases by
-size.  So it is checked against a plain sieve over the whole table range,
+is_prime decides n < 300^2 by the primes below 300, n < 2^20 by one gcd
+with the primes between 300 and 2^10, and larger n by Miller-Rabin, picking
+its bases by size.  So it is checked against a plain sieve up past 2^20,
 against plain trial division across each switch point and on the strong
 pseudoprimes that bound each tier, and against sympy as an independent
 second oracle on large inputs.  factorize trial-divides only by the primes
-below 300 and hands the cofactor to the table and Miller-Rabin; it splits
-a composite piece below 1e8 by a gcd descent over a product tree of the
-primes below 1e4, and a larger one by Pollard-Brent rho.  So it is checked
+below 300 and hands the cofactor to the gcd tiers and Miller-Rabin; it
+splits a composite piece below 1e8 by a gcd descent over a product tree of
+the primes below 1e4, and a larger one by Pollard-Brent rho.  So it is checked
 against full trial division, on cofactors on both sides of 2^20, below 1e8
 with rho made to fail if it is called, and against sympy on the inputs
 that rho finds hardest.
@@ -18,8 +18,6 @@ from __future__ import annotations
 
 import random
 import signal
-import sys
-import threading
 from math import gcd, isqrt
 
 import pytest
@@ -71,7 +69,7 @@ def test_matches_trial_division_up_to_2e5():
 
 def test_matches_a_plain_sieve_across_the_table():
     # an Eratosthenes sieve over all n, written independently of the
-    # library's odd-only, bit-packed table
+    # library's gcd tiers
     limit = 2**20 + 2_000
     sieve = [True] * limit
     sieve[0] = sieve[1] = False
@@ -87,35 +85,10 @@ def test_matches_a_plain_sieve_across_the_table():
         False, True, True, False, True]
 
 
-def test_threads_that_build_the_table_at_once_agree(monkeypatch):
-    # each thread may find the table empty and sieve it; every build is the
-    # same bytes, so whichever assignment lands last, every answer holds
-    monkeypatch.setattr(_intmath, "_PRIME_BITS", b"")
-    expected = [is_prime_by_trial_division(n) for n in range(999_000, 1_001_000)]
-    results: dict[int, list[bool]] = {}
-
-    def work(k: int) -> None:
-        results[k] = [is_prime(n) for n in range(999_000, 1_001_000)]
-
-    interval = sys.getswitchinterval()
-    sys.setswitchinterval(1e-6)
-    try:
-        threads = [threading.Thread(target=work, args=(k,)) for k in range(4)]
-        for t in threads:
-            t.start()
-        for t in threads:
-            t.join(timeout=60)
-    finally:
-        sys.setswitchinterval(interval)
-    assert not any(t.is_alive() for t in threads)
-    assert [results[k] == expected for k in range(4)] == [True] * 4
-    assert len(_intmath._PRIME_BITS) == 2**16
-
-
 def test_factorize_matches_trial_division_on_cofactors_near_2_20():
     # every cofactor with no prime factor below 300 within 3 000 of 2^20,
-    # alone and times small primes: table primes, table composites split
-    # by rho, and Miller-Rabin primes above the table
+    # alone and times small primes: primes and composites that the gcd
+    # tier decides below 2^20, and Miller-Rabin primes above it
     cofactors = [c for c in range(2**20 - 3_000, 2**20 + 3_000) if gcd(c, _PRIMORIAL) == 1]
     below = [c for c in cofactors if c < 2**20]
     assert any(is_prime(c) for c in below) and not all(is_prime(c) for c in below)
